@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "core/env.hpp"
 #include "core/runner.hpp"
 #include "pl/adversary.hpp"
 #include "pl/invariants.hpp"
@@ -26,7 +27,7 @@ std::uint64_t heal(core::Runner<pl::PlProtocol>& runner) {
 
 int main(int argc, char** argv) {
   using namespace ppsim;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 64;
+  const int n = argc > 1 ? core::parse_int("n", argv[1]) : 64;
   const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
                                       : 7;
   const auto p = pl::PlParams::make(n, 8);

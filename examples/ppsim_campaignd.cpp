@@ -15,7 +15,8 @@
 //
 // Exit codes: 0 = campaign complete (results written), 3 = paused
 // (PPSIM_CAMPAIGN_STOP shards ran; rerun to continue), 2 = refused a
-// corrupt/foreign checkpoint or inconsistent frame file, 4 = degraded
+// corrupt/foreign checkpoint, an inconsistent frame file or a malformed
+// [n]/[trials] argument (strict integer parse), 4 = degraded
 // (every shard settled but some are quarantined after persistent failure —
 // recorded in the checkpoint; results withheld).
 // Env: PPSIM_THREADS (worker count; never changes any output byte),
@@ -26,7 +27,6 @@
 // harness scripts/campaign_chaos_check.sh drives this; grammar in
 // core/failpoint.hpp).
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <utility>
@@ -79,9 +79,9 @@ int main(int argc, char** argv) {
   }
   const std::string ckpt = argv[1];
   const std::string frames_path = argv[2];
-  const int n = argc > 3 ? std::atoi(argv[3]) : 16;
-  const auto trials =
-      static_cast<std::int64_t>(argc > 4 ? std::atoll(argv[4]) : 256);
+  const int n = argc > 3 ? core::parse_int("n", argv[3]) : 16;
+  const std::int64_t trials =
+      argc > 4 ? core::parse_int64("trials", argv[4]) : 256;
 
   service::CampaignOptions opts;
   opts.checkpoint_path = ckpt;

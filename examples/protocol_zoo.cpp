@@ -4,7 +4,6 @@
 //
 //   $ ./protocol_zoo [n] [trials]
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "analysis/experiment.hpp"
@@ -12,14 +11,15 @@
 #include "baselines/fischer_jiang.hpp"
 #include "baselines/modk.hpp"
 #include "baselines/yokota28.hpp"
+#include "core/env.hpp"
 #include "core/table.hpp"
 #include "pl/adversary.hpp"
 #include "pl/invariants.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppsim;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 64;
-  const int trials = argc > 2 ? std::atoi(argv[2]) : 5;
+  const int n = argc > 1 ? core::parse_int("n", argv[1]) : 64;
+  const int trials = argc > 2 ? core::parse_int("trials", argv[2]) : 5;
   const std::uint64_t budget =
       200'000ULL * static_cast<std::uint64_t>(n) *
           static_cast<std::uint64_t>(n) +

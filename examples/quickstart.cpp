@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/env.hpp"
 #include "core/runner.hpp"
 #include "pl/adversary.hpp"
 #include "pl/invariants.hpp"
@@ -15,7 +16,7 @@
 int main(int argc, char** argv) {
   using namespace ppsim;
 
-  const int n = argc > 1 ? std::atoi(argv[1]) : 100;
+  const int n = argc > 1 ? core::parse_int("n", argv[1]) : 100;
   const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
                                       : 2023;
 

@@ -9,14 +9,14 @@
 //
 //   $ ./tm_cube_demo [n]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "baselines/thue_morse.hpp"
+#include "core/env.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppsim::baselines;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 24;
+  const int n = argc > 1 ? ppsim::core::parse_int("n", argv[1]) : 24;
 
   const auto ring = embed_thue_morse(n, 0);
   std::printf("ring labeling (Thue-Morse prefix anchored at leader u_0):\n  ");

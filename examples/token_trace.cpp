@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/env.hpp"
 #include "core/runner.hpp"
 #include "pl/invariants.hpp"
 #include "pl/safe_config.hpp"
@@ -57,8 +58,8 @@ void render(const core::Runner<pl::PlProtocol>& run) {
 
 int main(int argc, char** argv) {
   using namespace ppsim;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 32;
-  const int frames = argc > 2 ? std::atoi(argv[2]) : 6;
+  const int n = argc > 1 ? core::parse_int("n", argv[1]) : 32;
+  const int frames = argc > 2 ? core::parse_int("frames", argv[2]) : 6;
   const auto p = pl::PlParams::make(n, 4);
   const std::uint64_t per_frame =
       argc > 3 ? std::strtoull(argv[3], nullptr, 10)

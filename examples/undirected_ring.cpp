@@ -6,12 +6,13 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/env.hpp"
 #include "core/runner.hpp"
 #include "orientation/oriented_stack.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppsim;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 48;
+  const int n = argc > 1 ? core::parse_int("n", argv[1]) : 48;
   const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
                                       : 11;
 

@@ -17,7 +17,7 @@ checks:
                       of stream_seed/derive_seed nor as the legacy
                       `seed ^ 0xHEX` idiom.
   banned-entropy      std::rand, std::random_device, srand and time() are
-                      ambient entropy; nothing in src/ may touch them.
+                      ambient entropy; no linted source may touch them.
   unordered-iteration Iterating an unordered container hands hash-order —
                       which varies across libstdc++ versions and ASLR — to
                       whatever consumes the loop; results and reports must
@@ -27,6 +27,11 @@ checks:
                       [[gnu::cold]] so the optimizer keeps them off the hot
                       path; the designation lives in COLD_REGISTRY below
                       and in-file `// ppsim-lint-cold: <name>` markers.
+  atoi-family         atoi, atol, atoll and atof turn garbage into 0
+                      silently; argv and env values go through the strict
+                      core::parse_int64 / core::env_int64 family instead.
+
+The default scan covers src/ and examples/.
 
 Engines: `--engine clang` tokenizes with libclang (exact comment/string/
 literal classification, macro awareness) when the python bindings and a
@@ -63,7 +68,10 @@ RULES = (
     "banned-entropy",
     "unordered-iteration",
     "cold-path",
+    "atoi-family",
 )
+
+ATOI_FAMILY = {"atoi", "atol", "atoll", "atof"}
 
 RNG_TYPES = {"Xoshiro256pp", "XoshiroLanes", "SplitMix64"}
 BLESSED_DERIVATIONS = {"derive_seed", "stream_seed"}
@@ -419,6 +427,15 @@ _EXPECT = re.compile(r"ppsim-lint-expect:\s*([\w-]+)")
 _COLD_MARK = re.compile(r"ppsim-lint-cold:\s*(\w+)")
 
 
+def _rule_atoi_family(path, rel, tokens, add):
+    for i, t in enumerate(tokens):
+        member = i >= 1 and tokens[i - 1].text in (".", "->")
+        if t.kind == "id" and t.text in ATOI_FAMILY and not member:
+            add(t.line, "atoi-family",
+                f"{t.text} silently maps garbage to 0 — parse with "
+                "core::parse_int64 / core::env_int64 (core/env.hpp)")
+
+
 def lint_file(path: pathlib.Path, engine) -> list[Violation]:
     try:
         rel = str(path.resolve().relative_to(REPO))
@@ -452,6 +469,7 @@ def lint_file(path: pathlib.Path, engine) -> list[Violation]:
     _rule_banned_entropy(path, rel, tokens, add)
     _rule_unordered_iteration(path, rel, tokens, add)
     _rule_cold_path(path, rel, tokens, add, cold_names)
+    _rule_atoi_family(path, rel, tokens, add)
     return out
 
 
@@ -508,7 +526,8 @@ def self_test(engine) -> int:
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("paths", nargs="*", type=pathlib.Path,
-                    help="files or directories to lint (default: src/)")
+                    help="files or directories to lint "
+                    "(default: src/ and examples/)")
     ap.add_argument("--engine", choices=("auto", "token", "clang"),
                     default="auto")
     ap.add_argument("--self-test", action="store_true",
@@ -530,7 +549,7 @@ def main(argv: list[str]) -> int:
     if args.self_test:
         return self_test(engine)
 
-    roots = args.paths or [REPO / "src"]
+    roots = args.paths or [REPO / "src", REPO / "examples"]
     violations: list[Violation] = []
     for path in collect_sources(roots):
         violations.extend(lint_file(path, engine))

@@ -120,13 +120,6 @@ class EnsembleRunner {
   static constexpr bool kWordable =
       WordKernelRunnable<P> && std::is_same_v<Topo, RingTopology>;
 
-  /// Regime-narrowed word lane: when the protocol's kernel also
-  /// instantiates at 32-bit elements (core::HasNarrowWordKernel) *and* the
-  /// layout for these parameters fits a half-word (P_PL at small n /
-  /// small c1), the mirror is u32 instead of u64 and the cross-ring
-  /// lockstep lane carries twice the rings per vector register. Same
-  /// round-trip fallback contract; bit-identical trajectories.
-  static constexpr bool kNarrowable = kWordable && HasNarrowWordKernel<P>;
   using WordLayout = typename detail::WordLayoutOf<P>::type;
   using WordConsts = typename detail::WordConstsOf<P>::type;
 
@@ -149,14 +142,17 @@ class EnsembleRunner {
         topo_(std::move(topo)),
         bound_(static_cast<std::uint64_t>(topo_.arc_count(P::directed))),
         threshold_(Xoshiro256pp::rejection_threshold(bound_)) {
-    assert(topo_.n() == params_.n);
+    detail::require_n_agents(static_cast<std::size_t>(topo_.n()), params_.n,
+                             "EnsembleRunner: topology");
     init_modes(reserve_rings);
   }
 
   /// Append one ring initialized from `initial`, seeded exactly like
   /// `Runner<P>(params, initial, seed)`. Returns the ring index.
+  /// Throws std::invalid_argument unless `initial` has exactly n states.
   int add_ring(std::span<const State> initial, std::uint64_t seed) {
-    assert(static_cast<int>(initial.size()) == params_.n);
+    detail::require_n_agents(initial.size(), params_.n,
+                             "EnsembleRunner::add_ring: initial configuration");
     states_.insert(states_.end(), initial.begin(), initial.end());
     rngs_.emplace_back(seed);
     seeds_.push_back(seed);
@@ -187,13 +183,6 @@ class EnsembleRunner {
             deactivate_word();  // out-of-domain state: generic path, forever
             break;
           }
-          if constexpr (kNarrowable) {
-            if (narrow_active_) {
-              // Lossless: fits_narrow bounds total_bits <= 32.
-              words32_.push_back(static_cast<std::uint32_t>(w));
-              continue;
-            }
-          }
           words_.push_back(w);
         }
       }
@@ -219,10 +208,10 @@ class EnsembleRunner {
     return word_active_;
   }
 
-  /// True while the word-kernel lane runs on the narrow (u32) mirror — the
-  /// regime-narrowed layout at small n. Implies word_kernel_mode().
-  [[nodiscard]] bool narrow_word_mode() const noexcept {
-    return narrow_active_;
+  /// Always false: the word lane has a single u64 mirror. Kept only
+  /// because perfbench/campaign_bench.cpp still reads it to label the lane.
+  [[nodiscard]] static constexpr bool narrow_word_mode() noexcept {
+    return false;
   }
 
   [[nodiscard]] std::span<const State> agents(int r) const {
@@ -263,9 +252,7 @@ class EnsembleRunner {
   /// lanes assume the clean uniform scheduler — exactly as Runner pins
   /// itself scalar).
   void set_scheduler_faults(const SchedulerFaults& f) {
-    assert(f.loss_p >= 0.0 && f.loss_p <= 1.0);
-    assert(f.arc_weights.empty() ||
-           f.arc_weights.size() == static_cast<std::size_t>(bound_));
+    f.validate(static_cast<std::size_t>(bound_));
     loss_threshold_ = detail::probability_threshold(f.loss_p);
     bias_ = f.arc_weights.empty() ? detail::BiasTable{}
                                   : detail::BiasTable(f.arc_weights);
@@ -318,12 +305,6 @@ class EnsembleRunner {
         const std::uint64_t w = P::pack_word(s, layout_);
         if (!(P::unpack_word(w, layout_) == s)) {
           deactivate_word();
-        } else if constexpr (kNarrowable) {
-          if (narrow_active_) {
-            words32_[slot] = static_cast<std::uint32_t>(w);
-          } else {
-            words_[slot] = w;
-          }
         } else {
           words_[slot] = w;
         }
@@ -445,7 +426,7 @@ class EnsembleRunner {
 
  private:
   /// Shared constructor tail: storage reservation and accelerator-mode
-  /// probing (LUT, then the ring-only word lanes).
+  /// probing (LUT, then the ring-only word lane).
   void init_modes(int reserve_rings) {
     if (reserve_rings > 0) {
       const auto r = static_cast<std::size_t>(reserve_rings);
@@ -461,9 +442,6 @@ class EnsembleRunner {
         word_active_ = layout_.fits() && P::word_leader(1, layout_) &&
                        !P::word_leader(0, layout_);
         if (word_active_) consts_ = P::make_word_consts(layout_);
-        if constexpr (kNarrowable) {
-          narrow_active_ = word_active_ && P::word_fits_narrow(layout_);
-        }
       }
     }
   }
@@ -563,16 +541,13 @@ class EnsembleRunner {
     packed_.shrink_to_fit();
   }
 
-  /// Leave the word-kernel lane permanently (narrow or wide), same
-  /// contract as deactivate_lut.
+  /// Leave the word-kernel lane permanently, same contract as
+  /// deactivate_lut.
   void deactivate_word() {
     for (int r = 0; r < ring_count(); ++r) sync_ring(r);
     word_active_ = false;
-    narrow_active_ = false;
     words_.clear();
     words_.shrink_to_fit();
-    words32_.clear();
-    words32_.shrink_to_fit();
   }
 
   /// Materialize ring r's State block from the active accelerator mirror if
@@ -595,16 +570,6 @@ class EnsembleRunner {
       }
       if constexpr (kWordable) {
         if (word_active_) {
-          if constexpr (kNarrowable) {
-            if (narrow_active_) {
-              for (int i = 0; i < params_.n; ++i) {
-                states_[off + static_cast<std::size_t>(i)] = P::unpack_word(
-                    words32_[off + static_cast<std::size_t>(i)], layout_);
-              }
-              dirty_[ri] = 0;
-              return;
-            }
-          }
           for (int i = 0; i < params_.n; ++i) {
             states_[off + static_cast<std::size_t>(i)] = P::unpack_word(
                 words_[off + static_cast<std::size_t>(i)], layout_);
@@ -738,15 +703,6 @@ class EnsembleRunner {
     requires(kWordable)
   {
     const auto ri = static_cast<std::size_t>(r);
-    if constexpr (kNarrowable) {
-      if (narrow_active_) {
-        WordGroupDriver<P>::run_narrow_ring(
-            words32_.data() + ring_offset(r), params_.n, bound_, threshold_,
-            rngs_[ri], clocks_[ri], consts_, k);
-        dirty_[ri] = 1;
-        return;
-      }
-    }
     WordGroupDriver<P>::run_block(words_.data() + ring_offset(r), params_.n,
                                   bound_, threshold_, rngs_[ri], clocks_[ri],
                                   consts_, k);
@@ -760,18 +716,6 @@ class EnsembleRunner {
                           std::uint64_t k)
     requires(kWordable)
   {
-    if constexpr (kNarrowable) {
-      if (narrow_active_) {
-        WordGroupDriver<P>::run_rings_narrow_block(
-            words32_.data(), static_cast<std::size_t>(params_.n),
-            rings.data(), nrings, params_.n, bound_, threshold_,
-            rngs_.data(), clocks_.data(), consts_, k);
-        for (int i = 0; i < nrings; ++i)
-          dirty_[static_cast<std::size_t>(
-              rings[static_cast<std::size_t>(i)])] = 1;
-        return;
-      }
-    }
     WordGroupDriver<P>::run_rings_block(
         words_.data(), static_cast<std::size_t>(params_.n), rings.data(),
         nrings, params_.n, bound_, threshold_, rngs_.data(), clocks_.data(),
@@ -805,10 +749,8 @@ class EnsembleRunner {
   WordLayout layout_{};             ///< valid only in word-kernel mode
   WordConsts consts_{};             ///< kernel constants (word-kernel mode)
   std::vector<std::uint64_t> words_;  ///< u64 mirror of states_, same layout
-  std::vector<std::uint32_t> words32_;  ///< narrow mirror (replaces words_)
   std::vector<int> all_rings_;      ///< reusable [0, ring_count) id list
   bool word_active_ = false;        ///< word-kernel lane drives the hot loop
-  bool narrow_active_ = false;      ///< the mirror is words32_, not words_
 };
 
 /// Mutable view of one *running* ring — the engine-agnostic surface fault

@@ -66,13 +66,15 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -124,6 +126,16 @@ namespace detail {
                                     18446744073709551616.0L);
 }
 
+/// Release-mode shape check shared by the engines' constructors and
+/// EnsembleRunner::add_ring: `what` must hold exactly n agents. A short or
+/// long initial configuration would misalign every later ring's slots.
+inline void require_n_agents(std::size_t got, int n, const char* what) {
+  if (n < 0 || got != static_cast<std::size_t>(n))
+    throw std::invalid_argument(std::string(what) + " has " +
+                                std::to_string(got) + " agents, params.n is " +
+                                std::to_string(n));
+}
+
 /// Cumulative-threshold table for biased (non-uniform) arc draws: arc i is
 /// selected when the raw 64-bit draw falls in [cum[i-1], cum[i]). One raw
 /// next() of the *main* scheduler stream per draw, resolved by binary
@@ -133,14 +145,11 @@ namespace detail {
 class BiasTable {
  public:
   BiasTable() = default;
+  /// `weights` must have passed SchedulerFaults::validate (non-empty,
+  /// finite, non-negative, positive total).
   explicit BiasTable(std::span<const double> weights) {
-    assert(!weights.empty());
     long double total = 0.0L;
-    for (const double w : weights) {
-      assert(w >= 0.0);
-      total += static_cast<long double>(w);
-    }
-    assert(total > 0.0L);
+    for (const double w : weights) total += static_cast<long double>(w);
     cum_.resize(weights.size());
     long double acc = 0.0L;
     for (std::size_t i = 0; i < weights.size(); ++i) {
@@ -199,6 +208,33 @@ struct SchedulerFaults {
 
   [[nodiscard]] bool active() const noexcept {
     return loss_p > 0.0 || !arc_weights.empty();
+  }
+
+  /// The one check both engines run before accepting a fault model, in
+  /// every build type: loss_p in [0, 1], and arc_weights either empty or
+  /// exactly `arc_count` finite non-negative weights with a positive total.
+  /// A wrong-length table would let BiasTable::draw return arc ids past the
+  /// engine's arcs. Throws std::invalid_argument naming the bad field.
+  void validate(std::size_t arc_count) const {
+    if (!(loss_p >= 0.0 && loss_p <= 1.0))
+      throw std::invalid_argument("SchedulerFaults: loss_p " +
+                                  std::to_string(loss_p) +
+                                  " is outside [0, 1]");
+    if (arc_weights.empty()) return;
+    if (arc_weights.size() != arc_count)
+      throw std::invalid_argument(
+          "SchedulerFaults: " + std::to_string(arc_weights.size()) +
+          " arc weights for " + std::to_string(arc_count) + " arcs");
+    long double total = 0.0L;
+    for (const double w : arc_weights) {
+      if (!std::isfinite(w) || w < 0.0)
+        throw std::invalid_argument(
+            "SchedulerFaults: arc weight " + std::to_string(w) +
+            " is not a finite non-negative number");
+      total += static_cast<long double>(w);
+    }
+    if (!(total > 0.0L))
+      throw std::invalid_argument("SchedulerFaults: arc weights sum to zero");
   }
 };
 
@@ -266,25 +302,6 @@ template <typename P>
 concept WordKernelRunnable =
     HasWordKernel<P> && !WantsOracle<P> && !HasTokenCensus<P> &&
     std::equality_comparable<typename P::State>;
-
-/// Protocols whose word kernel also instantiates at 32-bit element width
-/// (the regime-narrowed layout: two packed states per 64 bits of register).
-/// `word_fits_narrow(layout)` is the capacity probe — true only when every
-/// field of the layout lands inside 32 bits, so the u32 mirror is lossless
-/// and the same clamp/round-trip fallback contract applies unchanged. Used
-/// by EnsembleRunner: at the small n where narrow layouts exist, the
-/// cross-ring lockstep lane carries twice the rings per vector register.
-template <typename P>
-concept HasNarrowWordKernel =
-    HasWordKernel<P> &&
-    requires(const typename P::WordLayout& lay,
-             const typename P::WordKernelConsts& kc, std::uint32_t& hw,
-             HalfVec8& h8, HalfVec16& h16) {
-      { P::word_fits_narrow(lay) } -> std::convertible_to<bool>;
-      P::apply_word_narrow_one(hw, hw, kc);
-      P::apply_word_narrow_x8(h8, h8, kc);
-      P::apply_word_narrow_x16(h16, h16, kc);
-    };
 
 namespace detail {
 /// Storage types for the word layout / kernel constants: the protocol's
@@ -759,8 +776,7 @@ struct WordGroupDriver {
   }
 
   /// Cold outlined per-lane census replay for the cross-ring lockstep
-  /// blocks (frozen-clock contract: the running step rides as step0[j]+s).
-  /// V is the block's lane type — u64 lanes (wide) or u32 lanes (narrow).
+  /// block (frozen-clock contract: the running step rides as step0[j]+s).
   template <typename V>
   [[gnu::cold, gnu::noinline]] static void census_replay_rings(
       const V& oa, const V& ob, const V& wa, const V& wb, RingClock* clk,
@@ -1103,196 +1119,6 @@ struct WordGroupDriver {
     }
   }
 
-  /// Cross-ring lockstep block over the *narrow* (u32) mirror: identical
-  /// structure to rings_impl, but one 32-bit element per ring — G = 8 rings
-  /// in a 32-byte register (HalfVec8), 16 in a 64-byte one (HalfVec16). The
-  /// G per-ring streams still need G full 64-bit xoshiro columns, so the
-  /// group carries G/8 eight-lane engines. Same software pipeline, same
-  /// frozen-clock census contract, bit-identical per-ring trajectories.
-  template <typename VH>
-  [[gnu::always_inline]] static inline void rings_narrow_impl(
-      std::uint32_t* words_base, std::size_t ring_stride, const int* rings,
-      int nrings, int n, std::uint64_t bound, std::uint64_t threshold,
-      Xoshiro256pp* rngs, RingClock* clks, const Consts& kc0, std::uint64_t k)
-    requires HasNarrowWordKernel<P>
-  {
-    const Consts kc = kc0;
-    constexpr int G = kLanesOf<VH>;
-    constexpr int kEngineLanes = kLanesOf<WordVec8>;
-    static_assert(G % kEngineLanes == 0);
-    constexpr int NE = G / kEngineLanes;
-    int i = 0;
-    for (; i + G <= nrings; i += G) {
-      const int* rg = rings + i;
-      std::uint32_t* base[G];
-      Xoshiro256pp rng[G];
-      RingClock clk[G];
-      std::uint64_t step0[G];
-      for (int j = 0; j < G; ++j) {
-        const int r = rg[j];
-        base[j] = words_base + ring_stride * static_cast<std::size_t>(r);
-        rng[j] = rngs[r];
-        clk[j] = clks[r];
-        step0[j] = clk[j].steps;
-      }
-      XoshiroLanes<WordVec8> lanes[NE];
-      for (int e = 0; e < NE; ++e) lanes[e].load(rng + kEngineLanes * e);
-      int ia[G] = {};  // zero-init: k == 0 legitimately skips the prologue
-      int ib[G] = {};
-      const auto draw = [&](int* pa, int* pb) __attribute__((always_inline)) {
-        for (int e = 0; e < NE; ++e) {
-          const WordVec8 arcs =
-              lanes[e].bounded_with_threshold(bound, threshold);
-          for (int j = 0; j < kEngineLanes; ++j) {
-            const ArcEndpoints ep =
-                arc_endpoints(static_cast<int>(arcs[j]), n);
-            pa[kEngineLanes * e + j] = ep.initiator;
-            pb[kEngineLanes * e + j] = ep.responder;
-          }
-        }
-      };
-      if (k > 0) draw(ia, ib);
-      for (std::uint64_t s = 0; s < k; ++s) {
-        VH wa;
-        VH wb;
-        for (int j = 0; j < G; ++j) {
-          wa[j] = base[j][ia[j]];
-          wb[j] = base[j][ib[j]];
-        }
-        int na[G];
-        int nb[G];
-        const bool more = s + 1 < k;
-        if (more) draw(na, nb);
-        const VH oa = wa;
-        const VH ob = wb;
-        if constexpr (G == 8) {
-          P::apply_word_narrow_x8(wa, wb, kc);
-        } else {
-          P::apply_word_narrow_x16(wa, wb, kc);
-        }
-        for (int j = 0; j < G; ++j) {
-          base[j][ia[j]] = wa[j];
-          base[j][ib[j]] = wb[j];
-        }
-        if constexpr (HasLeaderOutput<P>) {
-          const VH dl = (wa ^ oa) | (wb ^ ob);
-          // Bit 0 of each u32 lane sits at bits 0 and 32 of the u64 view.
-          const std::uint64_t fold = [&] {
-            if constexpr (sizeof(VH) == sizeof(WordVec)) {
-              return orfold((WordVec)dl);
-            } else {
-              return orfold((WordVec8)dl);
-            }
-          }();
-          if ((fold & 0x1'00000001ull) != 0) [[unlikely]] {
-            census_replay_rings<VH>(oa, ob, wa, wb, clk, step0, s);
-          }
-        }
-        if (more) {
-          for (int j = 0; j < G; ++j) {
-            ia[j] = na[j];
-            ib[j] = nb[j];
-          }
-        }
-      }
-      for (int e = 0; e < NE; ++e) lanes[e].store(rng + kEngineLanes * e);
-      for (int j = 0; j < G; ++j) {
-        const int r = rg[j];
-        clk[j].steps = step0[j] + k;
-        rngs[r] = rng[j];
-        clks[r] = clk[j];
-      }
-    }
-    for (; i < nrings; ++i) {
-      const int r = rings[i];
-      run_narrow_ring(words_base + ring_stride * static_cast<std::size_t>(r),
-                      n, bound, threshold, rngs[r], clks[r], kc, k);
-    }
-  }
-
- public:
-  /// Scalar per-ring loop over the narrow (u32) mirror — the ensemble's
-  /// per-ring advancement at narrow layouts. Deliberately ungrouped: narrow
-  /// layouts exist only at small n, where the single-ring disjointness
-  /// proof nearly always fails (see single_ring_engaged).
-  static void run_narrow_ring(std::uint32_t* words, int n,
-                              std::uint64_t bound, std::uint64_t threshold,
-                              Xoshiro256pp& rng0, RingClock& clk0,
-                              const Consts& kc0, std::uint64_t k)
-    requires HasNarrowWordKernel<P>
-  {
-    Xoshiro256pp rng = rng0;
-    RingClock clk = clk0;
-    const Consts kc = kc0;
-    for (std::uint64_t s = 0; s < k; ++s) {
-      const int arc =
-          static_cast<int>(rng.bounded_with_threshold(bound, threshold));
-      const ArcEndpoints e = arc_endpoints(arc, n);
-      std::uint32_t wa = words[e.initiator];
-      std::uint32_t wb = words[e.responder];
-      const std::uint32_t oa = wa;
-      const std::uint32_t ob = wb;
-      P::apply_word_narrow_one(wa, wb, kc);
-      words[e.initiator] = wa;
-      words[e.responder] = wb;
-      census_leader_change(oa, ob, wa, wb, clk, clk.steps);
-      ++clk.steps;
-    }
-    rng0 = rng;
-    clk0 = clk;
-  }
-
-  /// Entry point for the narrow cross-ring lockstep block (see
-  /// rings_narrow_impl).
-  static void run_rings_narrow_block(std::uint32_t* words_base,
-                                     std::size_t ring_stride,
-                                     const int* rings, int nrings, int n,
-                                     std::uint64_t bound,
-                                     std::uint64_t threshold,
-                                     Xoshiro256pp* rngs, RingClock* clks,
-                                     const Consts& kc, std::uint64_t k)
-    requires HasNarrowWordKernel<P>
-  {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    const int isa = isa_level();
-    if (isa == 2) {
-      narrow_avx512(words_base, ring_stride, rings, nrings, n, bound,
-                    threshold, rngs, clks, kc, k);
-      return;
-    }
-    if (isa == 1) {
-      narrow_avx2(words_base, ring_stride, rings, nrings, n, bound,
-                  threshold, rngs, clks, kc, k);
-      return;
-    }
-#endif
-    rings_narrow_impl<HalfVec8>(words_base, ring_stride, rings, nrings, n,
-                                bound, threshold, rngs, clks, kc, k);
-  }
-
- private:
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl"))) static void
-  narrow_avx512(std::uint32_t* words_base, std::size_t ring_stride,
-                const int* rings, int nrings, int n, std::uint64_t bound,
-                std::uint64_t threshold, Xoshiro256pp* rngs, RingClock* clks,
-                const Consts& kc, std::uint64_t k)
-    requires HasNarrowWordKernel<P>
-  {
-    rings_narrow_impl<HalfVec16>(words_base, ring_stride, rings, nrings, n,
-                                 bound, threshold, rngs, clks, kc, k);
-  }
-  __attribute__((target("avx2"))) static void narrow_avx2(
-      std::uint32_t* words_base, std::size_t ring_stride, const int* rings,
-      int nrings, int n, std::uint64_t bound, std::uint64_t threshold,
-      Xoshiro256pp* rngs, RingClock* clks, const Consts& kc, std::uint64_t k)
-    requires HasNarrowWordKernel<P>
-  {
-    rings_narrow_impl<HalfVec8>(words_base, ring_stride, rings, nrings, n,
-                                bound, threshold, rngs, clks, kc, k);
-  }
-#endif
-
  public:
   /// Entry point for the cross-ring lockstep block (see rings_impl).
   static void run_rings_block(std::uint64_t* words_base,
@@ -1388,6 +1214,8 @@ class Runner {
   static constexpr bool kWordKernel =
       WordKernelRunnable<P> && std::is_same_v<Topo, RingTopology>;
 
+  /// Throws std::invalid_argument unless `initial` holds exactly params.n
+  /// states (and, for an explicit topology, topo.n() == params.n).
   Runner(Params params, std::vector<State> initial, std::uint64_t seed)
       : params_(std::move(params)),
         topo_(params_.n),
@@ -1405,7 +1233,8 @@ class Runner {
         agents_(std::move(initial)),
         rng_(seed),
         seed_(seed) {
-    assert(topo_.n() == params_.n);
+    detail::require_n_agents(static_cast<std::size_t>(topo_.n()), params_.n,
+                             "Runner: topology");
     init_engine();
   }
 
@@ -1468,9 +1297,7 @@ class Runner {
   /// configuring faults then running is deterministic per seed. Active
   /// faults pin the runner to the scalar path permanently.
   void set_scheduler_faults(const SchedulerFaults& f) {
-    assert(f.loss_p >= 0.0 && f.loss_p <= 1.0);
-    assert(f.arc_weights.empty() ||
-           static_cast<int>(f.arc_weights.size()) == arc_count());
+    f.validate(static_cast<std::size_t>(arc_count()));
     loss_threshold_ = detail::probability_threshold(f.loss_p);
     bias_ = f.arc_weights.empty() ? detail::BiasTable{}
                                   : detail::BiasTable(f.arc_weights);
@@ -1630,7 +1457,8 @@ class Runner {
   /// Shared constructor tail: census recount and word-kernel capability
   /// probing.
   void init_engine() {
-    assert(static_cast<int>(agents_.size()) == params_.n);
+    detail::require_n_agents(agents_.size(), params_.n,
+                             "Runner: initial configuration");
     Engine::recount(agents_, params_, clk_);
     if constexpr (kWordKernel) {
       layout_ = P::word_layout(params_);

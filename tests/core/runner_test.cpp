@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "core/ensemble.hpp"
 #include "core/ring.hpp"
 #include "core/statistics.hpp"
 
@@ -198,6 +202,69 @@ TEST(Runner, SnapshotViaCopy) {
   Runner<CountProto> snap = run;
   run.run(100);
   EXPECT_EQ(snap.steps() + 100, run.steps());
+}
+
+TEST(Runner, WrongSizedConfigurationThrows) {
+  using S = CountProto::State;
+  EXPECT_THROW(Runner<CountProto>({4}, std::vector<S>(3), 1),
+               std::invalid_argument);
+  EXPECT_THROW(Runner<CountProto>({4}, std::vector<S>(5), 1),
+               std::invalid_argument);
+  EXPECT_THROW(Runner<CountProto>(RingTopology(5), {4}, std::vector<S>(4), 1),
+               std::invalid_argument);
+  EXPECT_THROW(
+      EnsembleRunner<CountProto>(RingTopology(5), CountProto::Params{4}),
+      std::invalid_argument);
+  EnsembleRunner<CountProto> ens(CountProto::Params{4});
+  EXPECT_THROW(ens.add_ring(std::vector<S>(3), 1), std::invalid_argument);
+  EXPECT_THROW(ens.add_ring(std::vector<S>(5), 1), std::invalid_argument);
+  EXPECT_EQ(ens.ring_count(), 0);  // a rejected ring leaves no slots behind
+  EXPECT_EQ(ens.add_ring(std::vector<S>(4), 1), 0);
+}
+
+TEST(SchedulerFaults, BadModelsThrowInBothEngines) {
+  const LeaderProto::Params p{4};
+  const std::vector<LeaderProto::State> init(4);
+  Runner<LeaderProto> run(p, init, 1);
+  EnsembleRunner<LeaderProto> ens(p);
+  ens.add_ring(init, 1);
+  ASSERT_EQ(run.arc_count(), 4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto loss = [](double q) {
+    SchedulerFaults f;
+    f.loss_p = q;
+    return f;
+  };
+  const auto weights = [](std::vector<double> w) {
+    SchedulerFaults f;
+    f.arc_weights = std::move(w);
+    return f;
+  };
+  const std::vector<SchedulerFaults> bad = {
+      loss(-0.1),                    // loss_p below 0
+      loss(1.5),                     // loss_p above 1
+      loss(nan),                     // loss_p not a number
+      weights({1, 1, 1}),            // too few weights
+      weights({1, 1, 1, 1, 1}),      // too many weights
+      weights({1, -1, 1, 1}),        // negative weight
+      weights({1, nan, 1, 1}),       // NaN weight
+      weights({1, inf, 1, 1}),       // infinite weight
+      weights({0, 0, 0, 0}),         // zero total
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(run.set_scheduler_faults(bad[i]), std::invalid_argument)
+        << "case " << i;
+    EXPECT_THROW(ens.set_scheduler_faults(bad[i]), std::invalid_argument)
+        << "case " << i;
+  }
+  EXPECT_FALSE(run.scheduler_faults_active());  // rejected models never land
+  EXPECT_FALSE(ens.scheduler_faults_active());
+  const SchedulerFaults ok = weights({0, 1, 2, 0});
+  EXPECT_NO_THROW(run.set_scheduler_faults(ok));
+  EXPECT_NO_THROW(ens.set_scheduler_faults(ok));
+  EXPECT_NO_THROW(run.set_scheduler_faults(loss(1.0)));
+  EXPECT_NO_THROW(ens.set_scheduler_faults(loss(0.0)));
 }
 
 }  // namespace

@@ -286,36 +286,32 @@ TEST(WordKernelEnsemble, RunUntilEachMatchesRunnerRunUntil) {
   }
 }
 
-TEST(WordKernelEnsemble, NarrowLaneMatchesGenericLaneAndRunner) {
-  // Regime-narrowed layout: at n = 16, c1 = 3 the packed image is 31 bits,
-  // so the ensemble keeps a u32 mirror and the cross-ring driver packs two
-  // states per 64 bits of vector register. R = 19 is not a multiple of the
-  // narrow group width, leaving leftovers for the scalar narrow driver.
+TEST(WordKernelEnsemble, SmallC1LaneMatchesGenericLaneAndRunner) {
+  // A small-c1 regime (n = 16, c1 = 3: a 31-bit packed image) on the one
+  // u64 mirror and cross-ring driver. R = 19 is not a multiple of either
+  // lane width, leaving leftover rings for the single-ring grouped path.
   const auto p = PlParams::make(16, 3);
-  ASSERT_TRUE(pl::PackedLayout::make(p).fits_narrow());
   const int R = 19;
-  EnsembleRunner<PlProtocol> narrow(p, R);
+  EnsembleRunner<PlProtocol> word(p, R);
   EnsembleRunner<PlProtocol> generic(p, R);
   generic.force_generic_path();
   std::vector<Runner<PlProtocol>> refs;
   for (int t = 0; t < R; ++t) {
     core::Xoshiro256pp cfg(250 + t);
     const auto init = pl::random_config(p, cfg);
-    narrow.add_ring(init, 800 + t);
+    word.add_ring(init, 800 + t);
     generic.add_ring(init, 800 + t);
     refs.emplace_back(p, init, 800 + t);
   }
-  ASSERT_TRUE(narrow.word_kernel_mode());
-  ASSERT_TRUE(narrow.narrow_word_mode());
-  ASSERT_FALSE(generic.narrow_word_mode());
+  ASSERT_TRUE(word.word_kernel_mode());
   core::Xoshiro256pp faults(321);
   for (int round = 0; round < 4; ++round) {
     const std::uint64_t k = 300 + 77 * round;
-    narrow.run(k);
+    word.run(k);
     generic.run(k);
     for (auto& ref : refs) ref.run_unbatched(k);
     for (int t = 0; t < R; ++t) {
-      expect_ring_same(refs[t], narrow, t, "narrow lane");
+      expect_ring_same(refs[t], word, t, "word lane");
       expect_ring_same(refs[t], generic, t, "generic lane");
     }
     for (int f = 0; f < 4; ++f) {
@@ -324,73 +320,12 @@ TEST(WordKernelEnsemble, NarrowLaneMatchesGenericLaneAndRunner) {
       const int idx = static_cast<int>(
           faults.bounded(static_cast<std::uint64_t>(p.n)));
       const PlState s = pl::random_state(p, faults);
-      narrow.set_agent(t, idx, s);
+      word.set_agent(t, idx, s);
       generic.set_agent(t, idx, s);
       refs[static_cast<std::size_t>(t)].set_agent(idx, s);
     }
   }
-  EXPECT_TRUE(narrow.narrow_word_mode());  // in-domain storms keep the lane
-}
-
-TEST(WordKernelEnsemble, NarrowCrossRingLockstepMatchesPerRing) {
-  const auto p = PlParams::make(16, 3);
-  const int R = 17;  // one leftover past a full 16-wide narrow group
-  EnsembleRunner<PlProtocol> lockstep(p, R);
-  EnsembleRunner<PlProtocol> per_ring(p, R);
-  for (int t = 0; t < R; ++t) {
-    core::Xoshiro256pp cfg(170 + t);
-    const auto init = pl::random_config(p, cfg);
-    lockstep.add_ring(init, 600 + t);
-    per_ring.add_ring(init, 600 + t);
-  }
-  ASSERT_TRUE(lockstep.narrow_word_mode());
-  lockstep.run(3000);
-  for (int t = 0; t < R; ++t) per_ring.run_ring(t, 3000);
-  for (int t = 0; t < R; ++t) {
-    ASSERT_EQ(lockstep.steps(t), per_ring.steps(t));
-    ASSERT_EQ(lockstep.leader_count(t), per_ring.leader_count(t));
-    ASSERT_EQ(lockstep.last_leader_change(t), per_ring.last_leader_change(t));
-    const auto sa = lockstep.agents(t);
-    const auto sb = per_ring.agents(t);
-    for (int i = 0; i < p.n; ++i) ASSERT_EQ(sa[i], sb[i]);
-  }
-}
-
-TEST(WordKernelEnsemble, NarrowOutOfDomainFallbackIsExact) {
-  const auto p = PlParams::make(16, 3);
-  EnsembleRunner<PlProtocol> ens(p, 2);
-  std::vector<Runner<PlProtocol>> refs;
-  for (int t = 0; t < 2; ++t) {
-    core::Xoshiro256pp cfg(90 + t);
-    const auto init = pl::random_config(p, cfg);
-    ens.add_ring(init, 140 + t);
-    refs.emplace_back(p, init, 140 + t);
-  }
-  ASSERT_TRUE(ens.narrow_word_mode());
-  ens.run(500);
-  for (auto& r : refs) r.run_unbatched(500);
-  PlState bad;
-  bad.token_w = pl::Token{1, 0, 9};  // carry outside {0, 1}
-  ens.set_agent(0, 2, bad);
-  refs[0].set_agent(2, bad);
-  EXPECT_FALSE(ens.word_kernel_mode());
-  EXPECT_FALSE(ens.narrow_word_mode());
-  ens.run(500);
-  for (auto& r : refs) r.run_unbatched(500);
-  for (int t = 0; t < 2; ++t) expect_ring_same(refs[t], ens, t, "fallback");
-}
-
-TEST(WordKernelEnsemble, NarrowProbeRefusesWideLayouts) {
-  // One clock bit over the line: n = 16, c1 = 4 packs to 33 bits, so the
-  // ensemble must keep the 64-bit mirror (and still run the word lane).
-  const auto p = PlParams::make(16, 4);
-  EXPECT_TRUE(pl::PackedLayout::make(p).fits());
-  EXPECT_FALSE(pl::PackedLayout::make(p).fits_narrow());
-  EnsembleRunner<PlProtocol> ens(p, 1);
-  core::Xoshiro256pp cfg(8);
-  ens.add_ring(pl::random_config(p, cfg), 3);
-  EXPECT_TRUE(ens.word_kernel_mode());
-  EXPECT_FALSE(ens.narrow_word_mode());
+  EXPECT_TRUE(word.word_kernel_mode());  // in-domain storms keep the lane
 }
 
 TEST(WordKernelCampaign, DifferentialReportsByteIdenticalAcrossThreads) {

@@ -131,8 +131,8 @@ void expect_state_within_cert(const PlState& s, const PlParams& p,
 TEST(PackedCertify, RandomizedKernelOutputsStayInsideCertifiedIntervals) {
   // End-to-end soundness probe: in-domain inputs -> apply_word -> every
   // output field inside its certified interval, every output word
-  // round-trips with no clamp firing. Covers a wide regime, the flagship,
-  // and a regime-narrowed u32 layout.
+  // round-trips with no clamp firing. Covers a c1 = 4 regime, the
+  // flagship, and a small-c1 regime.
   for (const auto& [n, c1] : {std::pair{16, 4}, {64, 1}, {1024, 4}}) {
     const auto p = PlParams::make(n, c1);
     const auto lay = PackedLayout::make(p);
