@@ -43,6 +43,18 @@
 // hitting times are quantized up to that granularity; fault injections
 // themselves land at exact offsets.
 //
+// Census gate: a spec may declare `recovered_implies_unique_leader` — its
+// predicate can only hold on a configuration with exactly one leader, as
+// the safe sets of all four study protocols do (S_PL, Def. 4.6, and its
+// baseline analogs each start from `count_leaders == 1`, counted on the
+// same field P::is_leader reads). The ensemble driver then skips both the
+// state materialization and the predicate call at every check where the
+// ring's O(1) leader census is not 1; since the census is exact, the
+// predicate would have returned false there, so no hitting step moves.
+// Hand-built specs leave it false and are checked at every block, and the
+// per-trial reference path (detail::recovery_trial, Runner::run_until)
+// never gates — it stays an independent oracle for the gated driver.
+//
 // Topology and scheduler faults: ScenarioSpec is templated on a
 // core::Topology (ring by default — existing campaigns are untouched) and
 // carries an optional core::SchedulerFaults (omission probability and/or
@@ -60,6 +72,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -151,7 +164,34 @@ struct ScenarioSpec {
   /// recovery phases alike): omission probability and/or biased arc
   /// distribution. Default-inactive — the clean fast paths stay engaged.
   core::SchedulerFaults sched_faults;
+  /// Declared property of `recovered`: it returns false on every
+  /// configuration whose leader census (P::is_leader) is not exactly 1.
+  /// A necessary condition of membership, so the ensemble driver may skip
+  /// the predicate on such rings without moving a hitting step (see the
+  /// header comment). make_recovery_scenario sets it for the four study
+  /// protocols; only valid for a protocol with a leader census
+  /// (validate_spec). Not part of a campaign's digest: it changes how
+  /// often the predicate runs, never a result.
+  bool recovered_implies_unique_leader = false;
 };
+
+/// Submission-time checks of a spec, in every build type: the scheduler
+/// fault model against the arc count of the spec's topology at params.n,
+/// and the unique-leader declaration against the protocol's census.
+/// Throws std::invalid_argument naming the problem.
+template <typename P, typename Topo>
+void validate_spec(const typename P::Params& params,
+                   const ScenarioSpec<P, Topo>& spec) {
+  spec.sched_faults.validate(
+      static_cast<std::size_t>(Topo(params.n).arc_count(P::directed)));
+  if constexpr (!core::HasLeaderOutput<P>) {
+    if (spec.recovered_implies_unique_leader)
+      throw std::invalid_argument(
+          "ScenarioSpec '" + spec.name +
+          "': recovered_implies_unique_leader needs a protocol with a "
+          "leader census (P::is_leader)");
+  }
+}
 
 /// Outcome of one trial.
 struct RecoveryTrial {
@@ -257,9 +297,9 @@ void ensemble_recovery_shard(const typename P::Params& params,
   if (spec.sched_faults.active())
     ensemble.set_scheduler_faults(spec.sched_faults);
 
-  const auto stab =
-      ensemble.run_until_each(spec.recovered, plan.max_steps,
-                              plan.check_every);
+  const bool gate = spec.recovered_implies_unique_leader;
+  const auto stab = ensemble.run_until_each(spec.recovered, plan.max_steps,
+                                            plan.check_every, gate);
   const auto schedule = sorted_schedule(spec);
   std::vector<int> recovering;
   std::vector<std::uint64_t> last_injection(count, 0);
@@ -285,7 +325,7 @@ void ensemble_recovery_shard(const typename P::Params& params,
 
   std::vector<std::uint64_t> rec(count, npos);
   ensemble.run_until_each(recovering, spec.recovered, plan.max_steps,
-                          plan.check_every, rec);
+                          plan.check_every, rec, gate);
   for (int r : recovering) {
     const auto i = static_cast<std::size_t>(r);
     if (rec[i] == npos) continue;  // recovery failure
@@ -306,6 +346,7 @@ void ensemble_recovery_shard(const typename P::Params& params,
 template <typename P, typename Topo = core::RingTopology>
 [[nodiscard]] RecoveryStats measure_recovery(
     const typename P::Params& params, const ScenarioSpec<P, Topo>& spec) {
+  validate_spec(params, spec);
   std::vector<RecoveryTrial> trials(
       static_cast<std::size_t>(std::max<std::int64_t>(spec.plan.trials, 0)));
   core::ThreadPool pool(spec.plan.threads);

@@ -67,6 +67,8 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -220,9 +222,8 @@ class EnsembleRunner {
             static_cast<std::size_t>(params_.n)};
   }
   [[nodiscard]] const State& agent(int r, int i) const {
-    assert(i >= 0 && i < params_.n);
     sync_ring(check_ring(r));
-    return states_[ring_offset(r) + static_cast<std::size_t>(i)];
+    return states_[ring_offset(r) + check_agent(i)];
   }
   [[nodiscard]] std::uint64_t steps(int r) const { return clock(r).steps; }
   [[nodiscard]] int leader_count(int r) const {
@@ -282,12 +283,12 @@ class EnsembleRunner {
   /// Fault injection into ring r, delta-census, identical to
   /// Runner::set_agent. In packed mode the injected state must round-trip
   /// the packing; otherwise the ensemble drops to the generic path (still
-  /// exact, just slower).
+  /// exact, just slower). Throws std::out_of_range on a bad ring or agent
+  /// index, in every build type (an inject callback's index must never
+  /// write past the ring).
   void set_agent(int r, int i, const State& s) {
-    assert(i >= 0 && i < params_.n);
     sync_ring(check_ring(r));
-    const std::size_t slot =
-        ring_offset(r) + static_cast<std::size_t>(i);
+    const std::size_t slot = ring_offset(r) + check_agent(i);
     Engine::set_agent(states_[slot], s, params_,
                       clocks_[static_cast<std::size_t>(r)]);
     if constexpr (kPackable) {
@@ -332,7 +333,7 @@ class EnsembleRunner {
   }
 
   /// Advance one ring `k` interactions (exact-offset scheduling, e.g. fault
-  /// injection at a precise step).
+  /// injection at a precise step). Throws std::out_of_range on a bad ring.
   void run_ring(int r, std::uint64_t k) { advance_ring(check_ring(r), k); }
 
   /// Per-ring Runner::run_until over the whole ensemble: for every ring,
@@ -341,14 +342,23 @@ class EnsembleRunner {
   /// retiring rings from a compacted active set as they hit the predicate or
   /// the deadline. Returns, per ring, the step count at the first satisfied
   /// check (exactly Runner::run_until's value) or npos on timeout.
+  ///
+  /// `unique_leader_gate` declares that `pred` can only hold on a ring with
+  /// exactly one leader (ScenarioSpec::recovered_implies_unique_leader). A
+  /// ring whose O(1) census RingClock::leader_count is not 1 then fails the
+  /// check without materializing its states or calling `pred`; where the
+  /// declaration holds, every hit step is unchanged. Throws
+  /// std::invalid_argument for a protocol without a leader census.
   template <typename Pred>
   [[nodiscard]] std::vector<std::uint64_t> run_until_each(
-      Pred&& pred, std::uint64_t max_steps, std::uint64_t check_every = 0) {
+      Pred&& pred, std::uint64_t max_steps, std::uint64_t check_every = 0,
+      bool unique_leader_gate = false) {
     std::vector<int> rings(clocks_.size());
     for (std::size_t r = 0; r < rings.size(); ++r)
       rings[r] = static_cast<int>(r);
     std::vector<std::uint64_t> hits(clocks_.size(), npos);
-    run_until_each(rings, pred, max_steps, check_every, hits);
+    run_until_each(rings, pred, max_steps, check_every, hits,
+                   unique_leader_gate);
     return hits;
   }
 
@@ -358,10 +368,23 @@ class EnsembleRunner {
   template <typename Pred>
   void run_until_each(std::vector<int> rings, Pred&& pred,
                       std::uint64_t max_steps, std::uint64_t check_every,
-                      std::span<std::uint64_t> hits) {
+                      std::span<std::uint64_t> hits,
+                      bool unique_leader_gate = false) {
     assert(hits.size() == clocks_.size());
+    if constexpr (!HasLeaderOutput<P>) {
+      if (unique_leader_gate)
+        throw std::invalid_argument(
+            "EnsembleRunner::run_until_each: unique-leader gate on a "
+            "protocol without a leader census");
+    }
     if (check_every == 0)
       check_every = static_cast<std::uint64_t>(params_.n);
+    const auto holds = [&](int r) -> bool {
+      if (unique_leader_gate &&
+          clocks_[static_cast<std::size_t>(r)].leader_count != 1)
+        return false;
+      return pred(agents(r), params_);
+    };
     // Per-ring deadline, indexed by ring id (mirrors Runner::run_until's
     // `deadline = steps + max_steps` computed at entry).
     std::vector<std::uint64_t> deadline(clocks_.size(), 0);
@@ -370,7 +393,7 @@ class EnsembleRunner {
     std::size_t w = 0;
     for (int r : rings) {
       const auto ri = static_cast<std::size_t>(check_ring(r));
-      if (pred(agents(r), params_)) {
+      if (holds(r)) {
         hits[ri] = clocks_[ri].steps;
         continue;
       }
@@ -413,7 +436,7 @@ class EnsembleRunner {
       w = 0;
       for (int r : rings) {
         const auto ri = static_cast<std::size_t>(r);
-        if (pred(agents(r), params_)) {
+        if (holds(r)) {
           hits[ri] = clocks_[ri].steps;
           continue;
         }
@@ -464,9 +487,20 @@ class EnsembleRunner {
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(params_.n);
   }
 
+  /// Release-build index checks of the public accessors.
   [[nodiscard]] int check_ring(int r) const {
-    assert(r >= 0 && r < ring_count());
+    if (r < 0 || r >= ring_count())
+      throw std::out_of_range("EnsembleRunner: ring " + std::to_string(r) +
+                              " outside [0, " + std::to_string(ring_count()) +
+                              ")");
     return r;
+  }
+  [[nodiscard]] std::size_t check_agent(int i) const {
+    if (i < 0 || i >= params_.n)
+      throw std::out_of_range("EnsembleRunner: agent " + std::to_string(i) +
+                              " outside [0, " + std::to_string(params_.n) +
+                              ")");
+    return static_cast<std::size_t>(i);
   }
 
   [[nodiscard]] const RingClock& clock(int r) const {

@@ -37,11 +37,20 @@
 #include <cassert>
 #include <concepts>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/ring.hpp"
 
 namespace ppsim::core {
+
+namespace detail {
+/// Release-build size check of the topology constructors.
+constexpr int require_topology_size(int n, int min, const char* what) {
+  if (n < min) throw std::invalid_argument(what);
+  return n;
+}
+}  // namespace detail
 
 template <typename T>
 concept TopologyLike = requires(const T& t, int arc, int v, bool directed,
@@ -66,7 +75,9 @@ class RingTopology {
   static constexpr const char* kName = "ring";
 
   constexpr RingTopology() = default;
-  explicit constexpr RingTopology(int n) : n_(n) { assert(n >= 1); }
+  explicit constexpr RingTopology(int n)
+      : n_(detail::require_topology_size(n, 1,
+                                         "RingTopology: n must be >= 1")) {}
 
   [[nodiscard]] constexpr int n() const noexcept { return n_; }
   [[nodiscard]] constexpr int forward_arcs() const noexcept { return n_; }
@@ -110,7 +121,9 @@ class LineTopology {
   static constexpr const char* kName = "line";
 
   constexpr LineTopology() = default;
-  explicit constexpr LineTopology(int n) : n_(n) { assert(n >= 2); }
+  explicit constexpr LineTopology(int n)
+      : n_(detail::require_topology_size(n, 2,
+                                         "LineTopology: n must be >= 2")) {}
 
   [[nodiscard]] constexpr int n() const noexcept { return n_; }
   [[nodiscard]] constexpr int forward_arcs() const noexcept { return n_ - 1; }
@@ -155,7 +168,9 @@ class CliqueTopology {
   static constexpr const char* kName = "clique";
 
   constexpr CliqueTopology() = default;
-  explicit constexpr CliqueTopology(int n) : n_(n) { assert(n >= 2); }
+  explicit constexpr CliqueTopology(int n)
+      : n_(detail::require_topology_size(n, 2,
+                                         "CliqueTopology: n must be >= 2")) {}
 
   [[nodiscard]] constexpr int n() const noexcept { return n_; }
   [[nodiscard]] constexpr int forward_arcs() const noexcept {
@@ -241,7 +256,9 @@ class TreeTopology {
   static constexpr const char* kName = "tree";
 
   constexpr TreeTopology() = default;
-  explicit constexpr TreeTopology(int n) : n_(n) { assert(n >= 2); }
+  explicit constexpr TreeTopology(int n)
+      : n_(detail::require_topology_size(n, 2,
+                                         "TreeTopology: n must be >= 2")) {}
 
   [[nodiscard]] constexpr int n() const noexcept { return n_; }
   [[nodiscard]] constexpr int forward_arcs() const noexcept { return n_ - 1; }

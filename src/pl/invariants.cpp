@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 #include "core/ring.hpp"
 
@@ -204,52 +205,217 @@ bool in_cdl_layout(Config c, const PlParams& p, int leader_pos) {
   return true;
 }
 
-SafetyVerdict check_safe(Config c, const PlParams& p) {
-  const int n = static_cast<int>(c.size());
-  const auto leaders = leader_positions(c);
-  if (leaders.size() != 1)
-    return {false, "leader count != 1 (" +
-                       std::to_string(leaders.size()) + ")"};
-  const int k = leaders.front();
-  if (!in_cdl_layout(c, p, k)) return {false, "dist/last layout not C_DL"};
-  for (int i = 0; i < n; ++i)
-    if (c[static_cast<std::size_t>(i)].bullet == common::kLiveBullet &&
-        !live_bullet_peaceful(c, i))
-      return {false, "non-peaceful live bullet at " + std::to_string(i)};
+namespace {
 
-  for (int i = 0; i < n; ++i) {
-    const PlState& s = c[static_cast<std::size_t>(i)];
-    for (bool black : {true, false}) {
-      const Token& t = black ? s.token_b : s.token_w;
-      if (!t.exists()) continue;
-      if (s.last == 1)
-        return {false, "token hosted in the last segment at " +
-                           std::to_string(i)};
-      if (!token_correct(c, p, i, black, k))
-        return {false, std::string(black ? "black" : "white") +
-                           " token invalid/incorrect at " + std::to_string(i)};
-    }
-  }
+/// Which S_PL condition a configuration violates (see safe_core).
+enum class Failure : std::uint8_t {
+  kNone,
+  kLeaderCount,  ///< no leader, or a second one
+  kLayout,       ///< dist/last differ from the C_DL layout
+  kBullet,       ///< a live bullet that is not peaceful
+  kSegmentIds,   ///< iota(S_{i+1}) != iota(S_i) + 1 for some i <= zeta-3
+  kLastToken,    ///< a token hosted in the last segment
+  kBlackToken,   ///< a black token that is invalid or incorrect
+  kWhiteToken,   ///< a white token that is invalid or incorrect
+};
 
-  // Segment IDs consecutive for i in [0, zeta-3].
-  const auto modulus = static_cast<unsigned long long>(p.id_modulus());
-  const int zeta = p.zeta();
-  auto segment_id = [&](int seg_index) {
-    unsigned long long id = 0;
-    for (int j = p.psi - 1; j >= 0; --j)
-      id = id * 2 +
-           c[static_cast<std::size_t>(ring_add(k, seg_index * p.psi + j, n))]
-               .b;
-    return id;
-  };
-  for (int i = 0; i + 1 <= zeta - 2; ++i) {
-    if (segment_id(i + 1) != (segment_id(i) + 1) % modulus)
-      return {false,
-              "segment IDs not consecutive at pair " + std::to_string(i)};
+struct CoreVerdict {
+  Failure failure = Failure::kNone;
+  int agent = -1;  ///< absolute index of the offending agent
+};
+
+/// v mod m by compare: one conditional add and subtract in the common
+/// range [-m, 2m), a loop beyond it (out-of-domain token positions).
+[[nodiscard]] int wrap(int v, int m) noexcept {
+  if (v >= -m && v < 2 * m) [[likely]] {
+    v += v < 0 ? m : 0;
+    return v >= m ? v - m : v;
   }
-  return {true, ""};
+  while (v >= m) v -= m;
+  while (v < 0) v += m;
+  return v;
 }
 
-bool is_safe(Config c, const PlParams& p) { return check_safe(c, p).safe; }
+/// The ring seen from its first leader k: offset o is agent k + o.
+struct LeaderWalk {
+  Config c;
+  int n = 0;
+  int k = 0;
+  int psi = 0;
+  bool shielded = false;  ///< the leader's shield (bullet peacefulness)
+
+  [[nodiscard]] int index(int o) const noexcept {
+    const int i = k + o;
+    return i >= n ? i - n : i;
+  }
+  [[nodiscard]] const PlState& at(int o) const noexcept {
+    return c[static_cast<std::size_t>(index(o))];
+  }
+};
+
+/// token_correct (Def. 4.3) of the token `t` of colour offset `d` hosted at
+/// offset `o`, inside the segment opening at offset `seg` (index
+/// `seg_index`), on a ring whose C_DL layout and segment IDs are verified.
+/// `j_cur` / `j_prev` are the first-zero bit indices of that segment and the
+/// one before. With the layout verified, resolve_geometry's conditions
+/// reduce to: the pair start, target minus tau, is one of those two
+/// segment borders and has the token's colour (even segment index for
+/// black). Same verdict as token_correct, in O(1).
+[[nodiscard]] bool token_ok(const LeaderWalk& w, int o, const Token& t,
+                            int d, int seg, int seg_index, int j_cur,
+                            int j_prev) noexcept {
+  const int psi = w.psi;
+  const int pos = t.pos;
+  const int tau = wrap(static_cast<int>(w.at(o).dist) + pos + d, 2 * psi);
+  const bool right = pos > 0;
+  const int start = wrap(o + pos, w.n) - tau;
+  const bool in_seg = start == seg;
+  const bool ok =
+      (right ? tau >= psi : (tau >= 1 && tau <= psi - 1)) &&  // Def. 3.3
+      (in_seg || (start == seg - psi && seg > 0)) &&
+      ((seg_index & 1) ^ (in_seg ? 0 : 1)) == (d != 0 ? 1 : 0);
+  if (!ok) return false;
+  const int x = right ? tau - psi : tau - 1;  // the round
+  const int j = in_seg ? j_cur : j_prev;
+  const int b_x = w.at(start + x).b;
+  // Round x carries b_x XOR [x <= j] and the carry [x < j] (token_correct).
+  return static_cast<int>(t.carry) == (x < j ? 1 : 0) &&
+         static_cast<int>(t.value) == (b_x ^ (x <= j ? 1 : 0));
+}
+
+/// The first agent of a segment that fails the leader, layout or bullet
+/// condition, given `signal` = a bullet-absence signal lies before it.
+[[gnu::cold]] CoreVerdict first_agent_failure(const LeaderWalk& w, int seg,
+                                              int len, bool in_last,
+                                              int base_dist,
+                                              bool signal) noexcept {
+  for (int q = 0; q < len; ++q) {
+    const int o = seg + q;
+    const PlState& s = w.at(o);
+    if (o > 0 && s.leader == 1) return {Failure::kLeaderCount, w.index(o)};
+    if (static_cast<int>(s.dist) != base_dist + q || (s.last == 1) != in_last)
+      return {Failure::kLayout, w.index(o)};
+    signal = signal || s.signal_b != 0;
+    if (s.bullet == common::kLiveBullet && (signal || !w.shielded))
+      return {Failure::kBullet, w.index(o)};
+  }
+  return {};
+}
+
+/// The S_PL predicate (Def. 4.6) without allocation or division, walking
+/// segment by segment from the first leader (segment s holds offsets
+/// [s*psi, (s+1)*psi), so C_DL's dist is s's base, 0 or psi, plus the
+/// position in it). Pass 1 folds, per segment and without branching per
+/// agent: a second leader, the dist/last layout, bullet peacefulness (one
+/// prefix scan of signal_b from the leader: a live bullet is peaceful iff
+/// the leader is shielded and no signal lies between them) and the segment
+/// ID; then checks the ID chain and tokens in the last segment. Pass 2,
+/// reached only when all of that holds, checks every token in O(1) with
+/// each segment's first-zero bit computed once. Same verdict as the
+/// condition-by-condition composition (the differential test under
+/// tests/pl/ pins it); the reported failure is the first in that order.
+[[nodiscard]] CoreVerdict safe_core(Config c, const PlParams& p) noexcept {
+  const int n = static_cast<int>(c.size());
+  int k = 0;
+  while (k < n && c[static_cast<std::size_t>(k)].leader != 1) ++k;
+  if (k == n) return {Failure::kLeaderCount, -1};
+  const int psi = p.psi;
+  const LeaderWalk w{c, n, k, psi, c[static_cast<std::size_t>(k)].shield == 1};
+  const int last_from = psi * (p.zeta() - 1);
+  const auto id_mask = static_cast<unsigned long long>(p.id_modulus()) - 1;
+
+  bool signal = false;
+  bool tokens = false;
+  unsigned long long prev_id = 0;
+  for (int seg = 0, s = 0; seg < n; seg += psi, ++s) {
+    const bool in_last = seg >= last_from;
+    const int len = in_last ? n - seg : psi;
+    const int base_dist = (s & 1) != 0 ? psi : 0;
+    const bool signal_before = signal;
+    bool bad = false;
+    bool tok = false;
+    unsigned long long id = 0;  // sum of b_j * 2^j, as segment_id sums it
+    int i = w.index(seg);
+    for (int q = 0; q < len; ++q) {
+      const PlState& a = c[static_cast<std::size_t>(i)];
+      bad |= (a.leader == 1) & (seg + q != 0);
+      bad |= static_cast<int>(a.dist) != base_dist + q;
+      bad |= (a.last == 1) != in_last;
+      signal |= a.signal_b != 0;
+      bad |= (a.bullet == common::kLiveBullet) & (signal | !w.shielded);
+      id += static_cast<unsigned long long>(a.b) << q;
+      tok |= a.token_b.exists() | a.token_w.exists();
+      if (++i == n) i = 0;
+    }
+    if (bad)
+      return first_agent_failure(w, seg, len, in_last, base_dist,
+                                 signal_before);
+    if (in_last) {
+      for (int q = 0; tok && q < len; ++q)
+        if (w.at(seg + q).token_b.exists() || w.at(seg + q).token_w.exists())
+          return {Failure::kLastToken, w.index(seg + q)};
+    } else {
+      // Consecutive IDs for segments 1..zeta-2 (pairs [0, zeta-3]).
+      if (s >= 1 && id != ((prev_id + 1) & id_mask))
+        return {Failure::kSegmentIds, w.index(seg)};
+      prev_id = id;
+      tokens |= tok;
+    }
+  }
+  if (!tokens) return {};
+
+  int j_prev = psi;
+  for (int seg = 0, s = 0; seg < last_from; seg += psi, ++s) {
+    int j = psi;  // first-zero bit of this segment (psi if none)
+    for (int q = 0; q < psi; ++q) {
+      if (w.at(seg + q).b == 0) {
+        j = q;
+        break;
+      }
+    }
+    for (int q = 0; q < psi; ++q) {
+      const PlState& a = w.at(seg + q);
+      if (a.token_b.exists() &&
+          !token_ok(w, seg + q, a.token_b, 0, seg, s, j, j_prev))
+        return {Failure::kBlackToken, w.index(seg + q)};
+      if (a.token_w.exists() &&
+          !token_ok(w, seg + q, a.token_w, psi, seg, s, j, j_prev))
+        return {Failure::kWhiteToken, w.index(seg + q)};
+    }
+    j_prev = j;
+  }
+  return {};
+}
+
+}  // namespace
+
+SafetyVerdict check_safe(Config c, const PlParams& p) {
+  const CoreVerdict v = safe_core(c, p);
+  const std::string at = " at " + std::to_string(v.agent);
+  switch (v.failure) {
+    case Failure::kNone:
+      return {true, ""};
+    case Failure::kLeaderCount:
+      return {false,
+              "leader count != 1 (" + std::to_string(count_leaders(c)) + ")"};
+    case Failure::kLayout:
+      return {false, "dist/last layout not C_DL" + at};
+    case Failure::kBullet:
+      return {false, "non-peaceful live bullet" + at};
+    case Failure::kSegmentIds:
+      return {false, "segment IDs not consecutive" + at};
+    case Failure::kLastToken:
+      return {false, "token hosted in the last segment" + at};
+    case Failure::kBlackToken:
+      return {false, "black token invalid/incorrect" + at};
+    case Failure::kWhiteToken:
+      return {false, "white token invalid/incorrect" + at};
+  }
+  return {false, "unknown failure"};
+}
+
+bool is_safe(Config c, const PlParams& p) {
+  return safe_core(c, p).failure == Failure::kNone;
+}
 
 }  // namespace ppsim::pl

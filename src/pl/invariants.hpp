@@ -74,7 +74,10 @@ struct SegmentView {
 [[nodiscard]] bool in_cdl_layout(Config c, const PlParams& p, int leader_pos);
 
 /// Membership in the safe set S_PL (Def. 4.6) with a human-readable reason
-/// on failure.
+/// on failure: the violated condition and the agent index. Both share one
+/// allocation-free walk from the leader, the campaign's recovery predicate;
+/// is_safe builds no string. Same verdict as composing in_cdl_layout,
+/// live_bullet_peaceful, token_correct and the segment-ID chain.
 struct SafetyVerdict {
   bool safe = false;
   std::string reason;

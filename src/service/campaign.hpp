@@ -448,10 +448,14 @@ class CampaignService {
   using Spec = analysis::ScenarioSpec<P, Topo>;
   using Cell = std::pair<Params, Spec>;
 
+  /// Validates every cell (analysis::validate_spec) before any shard can
+  /// start: a bad fault model or declaration throws std::invalid_argument
+  /// here, not inside a worker.
   explicit CampaignService(std::vector<Cell> cells, CampaignOptions opts = {})
       : cells_(std::move(cells)), opts_(std::move(opts)) {
     progress_.reserve(cells_.size());
     for (const auto& [params, spec] : cells_) {
+      analysis::validate_spec(params, spec);
       CellProgress p;
       p.trials = static_cast<std::uint64_t>(
           std::max<std::int64_t>(spec.plan.trials, 0));

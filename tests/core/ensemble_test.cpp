@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/adversary.hpp"
@@ -265,6 +266,33 @@ TEST(EnsembleRunner, RunRingAndSetAgentMatchStandaloneRunner) {
       }
     }
   }
+}
+
+TEST(EnsembleRunner, BadIndicesThrowInEveryBuild) {
+  // An inject callback's bad index must not write past the ring in a
+  // Release build: every indexed accessor throws std::out_of_range.
+  const OracleTokenProto::Params p{8};
+  EnsembleRunner<OracleTokenProto> ensemble(p, 2);
+  const std::vector<OracleTokenProto::State> init(8);
+  ensemble.add_ring(init, 1);
+  ensemble.add_ring(init, 2);
+  const OracleTokenProto::State s{};
+  EXPECT_THROW(ensemble.set_agent(0, 8, s), std::out_of_range);
+  EXPECT_THROW(ensemble.set_agent(1, -1, s), std::out_of_range);
+  EXPECT_THROW(ensemble.set_agent(2, 0, s), std::out_of_range);
+  EXPECT_THROW((void)ensemble.agent(0, 8), std::out_of_range);
+  EXPECT_THROW((void)ensemble.agent(-1, 0), std::out_of_range);
+  EXPECT_THROW(ensemble.run_ring(2, 10), std::out_of_range);
+  EXPECT_THROW((void)ensemble.agents(5), std::out_of_range);
+  RingView<OracleTokenProto> view(ensemble, 1);
+  EXPECT_THROW(view.set_agent(8, s), std::out_of_range);
+  // Nothing was written: both rings still hold their initial states.
+  for (int r = 0; r < 2; ++r)
+    for (int i = 0; i < p.n; ++i) {
+      EXPECT_EQ(ensemble.agent(r, i).leader, 0);
+      EXPECT_EQ(ensemble.agent(r, i).token, 0);
+    }
+  EXPECT_EQ(ensemble.steps(0), 0u);
 }
 
 TEST(EnsembleRunner, PackedModeDrivesModkBitIdentically) {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -217,6 +218,17 @@ TEST(TreeTopologyTest, HeapParentArcsAndTrivialGroup) {
     EXPECT_EQ(t.aut_count(true), 1u);
     EXPECT_EQ(t.aut_count(false), 1u);
   }
+}
+
+TEST(TopologySize, UndersizedTopologiesThrowInEveryBuild) {
+  EXPECT_THROW(RingTopology(0), std::invalid_argument);
+  EXPECT_THROW(LineTopology(1), std::invalid_argument);
+  EXPECT_THROW(CliqueTopology(1), std::invalid_argument);
+  EXPECT_THROW(TreeTopology(0), std::invalid_argument);
+  EXPECT_EQ(RingTopology(1).n(), 1);
+  EXPECT_EQ(LineTopology(2).n(), 2);
+  EXPECT_EQ(CliqueTopology(2).n(), 2);
+  EXPECT_EQ(TreeTopology(2).n(), 2);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -426,6 +427,24 @@ TEST(CampaignServiceTest, ResultsBeforeCompletionThrow) {
   MemoryFrameSink ref_frames;
   ASSERT_EQ(ref.run(ref_frames).status, RunStatus::kComplete);
   EXPECT_EQ(frames.str(), ref_frames.str());
+}
+
+TEST(CampaignServiceTest, BadSchedulerFaultsRefusedAtConstruction) {
+  // A cell whose fault model cannot run throws before any shard starts,
+  // not inside a worker: the sink never sees a frame.
+  auto cells = make_cells(150, 35);
+  cells[1].second.sched_faults.loss_p = 1.5;
+  MemoryFrameSink frames;
+  EXPECT_THROW(CampaignService<pl::PlProtocol>(cells, {}),
+               std::invalid_argument);
+  EXPECT_TRUE(frames.str().empty());
+  // A bias table of the wrong length is refused the same way.
+  cells[1].second.sched_faults.loss_p = 0.0;
+  cells[1].second.sched_faults.arc_weights.assign(3, 1.0);
+  EXPECT_THROW(CampaignService<pl::PlProtocol>(cells, {}),
+               std::invalid_argument);
+  cells[1].second.sched_faults.arc_weights.assign(8, 1.0);  // n arcs: fine
+  EXPECT_NO_THROW(CampaignService<pl::PlProtocol>(cells, {}));
 }
 
 }  // namespace
