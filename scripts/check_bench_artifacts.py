@@ -127,8 +127,9 @@ def throughput_word_path_errors(results: list) -> list[str]:
             flagship_seen = True
             if ps <= 0:
                 errs.append(
-                    "P_PL n=16384: packed_speedup <= 0 — the word path must "
-                    "engage at the flagship ring size (word_path_active)")
+                    "P_PL n=16384: packed_speedup <= 0 — the single-ring word "
+                    "driver must engage at the flagship ring size "
+                    "(WordGroupDriver::single_ring_engaged)")
     if not flagship_seen:
         errs.append("P_PL n=16384 row missing from throughput results")
     return errs

@@ -62,7 +62,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <concepts>
 #include <cstdint>
 #include <limits>
@@ -250,8 +249,7 @@ class EnsembleRunner {
   /// so ring r's faulted trajectory stays bit-identical to a standalone
   /// Runner constructed with the same seed and faults. Active faults
   /// permanently drop the ensemble to the generic path (the accelerated
-  /// lanes assume the clean uniform scheduler — exactly as Runner pins
-  /// itself scalar).
+  /// lanes assume the clean uniform scheduler).
   void set_scheduler_faults(const SchedulerFaults& f) {
     f.validate(static_cast<std::size_t>(bound_));
     loss_threshold_ = detail::probability_threshold(f.loss_p);
@@ -364,13 +362,19 @@ class EnsembleRunner {
 
   /// Subset form: only the rings listed in `rings` participate (the others
   /// do not advance). `hits` must span ring_count(); entries of
-  /// non-participating rings are left untouched.
+  /// non-participating rings are left untouched. Throws
+  /// std::invalid_argument, in every build type, when it does not: a short
+  /// span would be written past its end.
   template <typename Pred>
   void run_until_each(std::vector<int> rings, Pred&& pred,
                       std::uint64_t max_steps, std::uint64_t check_every,
                       std::span<std::uint64_t> hits,
                       bool unique_leader_gate = false) {
-    assert(hits.size() == clocks_.size());
+    if (hits.size() != clocks_.size())
+      throw std::invalid_argument(
+          "EnsembleRunner::run_until_each: hits spans " +
+          std::to_string(hits.size()) + " rings, ensemble has " +
+          std::to_string(clocks_.size()));
     if constexpr (!HasLeaderOutput<P>) {
       if (unique_leader_gate)
         throw std::invalid_argument(
@@ -461,7 +465,9 @@ class EnsembleRunner {
     if constexpr (kWordable) {
       if (!lut_active_) {
         layout_ = P::word_layout(params_);
-        // Same bit-0 leader probe as Runner (see its constructor).
+        // WordGroupDriver's census reads the leader output straight off
+        // bit 0 of each word; a layout with the flag anywhere else stays
+        // generic instead of corrupting the leader census.
         word_active_ = layout_.fits() && P::word_leader(1, layout_) &&
                        !P::word_leader(0, layout_);
         if (word_active_) consts_ = P::make_word_consts(layout_);
@@ -728,11 +734,10 @@ class EnsembleRunner {
     dirty_[ri] = 1;
   }
 
-  /// Kernel-lane block: the shared grouped word-kernel driver on this
-  /// ring's slice of the u64 mirror — literally the same code path as
-  /// Runner::run's word lane (WordGroupDriver), so per-ring bit-identity
-  /// between the engines is by construction. States go stale until the
-  /// next sync_ring.
+  /// Kernel-lane block: the single-ring grouped word-kernel driver
+  /// (WordGroupDriver::run_block) on this ring's slice of the u64 mirror —
+  /// the same entry point the cross-ring driver uses for leftover rings.
+  /// States go stale until the next sync_ring.
   void advance_ring_word(int r, std::uint64_t k)
     requires(kWordable)
   {

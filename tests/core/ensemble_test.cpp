@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -293,6 +294,37 @@ TEST(EnsembleRunner, BadIndicesThrowInEveryBuild) {
       EXPECT_EQ(ensemble.agent(r, i).token, 0);
     }
   EXPECT_EQ(ensemble.steps(0), 0u);
+}
+
+TEST(EnsembleRunner, RunUntilEachRejectsMisSizedHitsInEveryBuild) {
+  // The subset form writes hits[ring]: a span shorter than ring_count()
+  // must be refused before anything runs, in a Release build too.
+  const OracleTokenProto::Params p{8};
+  EnsembleRunner<OracleTokenProto> ensemble(p, 3);
+  const std::vector<OracleTokenProto::State> init(8);
+  for (int r = 0; r < 3; ++r) ensemble.add_ring(init, 10 + r);
+  const auto never = [](std::span<const OracleTokenProto::State>,
+                        const OracleTokenProto::Params&) { return false; };
+  std::vector<std::uint64_t> short_hits(2, 7);
+  EXPECT_THROW(ensemble.run_until_each({0, 2}, never, 100, 0,
+                                       std::span<std::uint64_t>(short_hits)),
+               std::invalid_argument);
+  std::vector<std::uint64_t> long_hits(4, 7);
+  EXPECT_THROW(ensemble.run_until_each({0}, never, 100, 0,
+                                       std::span<std::uint64_t>(long_hits)),
+               std::invalid_argument);
+  for (int r = 0; r < 3; ++r) EXPECT_EQ(ensemble.steps(r), 0u);
+  EXPECT_EQ(short_hits, (std::vector<std::uint64_t>{7, 7}));
+  // A correctly sized span: the participating ring records its hit, the
+  // others are left untouched.
+  const auto after_100 = [&](std::span<const OracleTokenProto::State>,
+                             const OracleTokenProto::Params&) {
+    return ensemble.steps(2) >= 100;
+  };
+  std::vector<std::uint64_t> hits(3, 7);
+  ensemble.run_until_each({2}, after_100, 1000, 50,
+                          std::span<std::uint64_t>(hits));
+  EXPECT_EQ(hits, (std::vector<std::uint64_t>{7, 7, 100}));
 }
 
 TEST(EnsembleRunner, PackedModeDrivesModkBitIdentically) {

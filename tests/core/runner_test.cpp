@@ -71,6 +71,22 @@ TEST(Runner, AppliesDirectedArc) {
   EXPECT_EQ(run.steps(), 2u);
 }
 
+TEST(Runner, OutOfRangeArcThrowsInEveryBuild) {
+  // A caller-supplied arc id must not index past the agents in a Release
+  // build: apply_arc and apply_sequence throw std::out_of_range.
+  Runner<CountProto> run({4}, std::vector<CountProto::State>(4), 1);
+  EXPECT_EQ(run.arc_count(), 4);
+  EXPECT_THROW(run.apply_arc(4), std::out_of_range);
+  EXPECT_THROW(run.apply_arc(8), std::out_of_range);  // 2n: the reverse-arc
+                                                      // range of a ring
+  EXPECT_THROW(run.apply_arc(-1), std::out_of_range);
+  const std::vector<int> seq = {0, 1, 8};
+  EXPECT_THROW(run.apply_sequence(seq), std::out_of_range);
+  EXPECT_EQ(run.steps(), 2u);  // the two in-range arcs ran, the bad one not
+  EXPECT_EQ(run.agent(2).v, 2);
+  EXPECT_EQ(run.agent(0).v, 0);
+}
+
 TEST(Runner, AppliesSequence) {
   Runner<CountProto> run({5}, std::vector<CountProto::State>(5), 1);
   run.apply_sequence(seq_r(0, 4, 5));  // sweep: v ramps 1,2,3,4

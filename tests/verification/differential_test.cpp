@@ -158,10 +158,9 @@ TEST(Differential, PlProtocolLanes) {
   const auto rep = run_differential<pl::PlProtocol>(
       p, pl::random_config(p, cfg_rng), cfg, pl_fault);
   EXPECT_TRUE(rep.ok) << rep.divergence;
-  // P_PL's word-packed lanes: Runner::run (lane B) and the ensemble kernel
-  // lane (lane D) both replay the bit-sliced kernel against the scalar
-  // reference; in-domain fault storms keep them active.
-  EXPECT_TRUE(rep.word_lane);
+  // P_PL's word-packed lane: the one-ring ensemble kernel lane (lane D)
+  // replays the bit-sliced kernel through the single-ring grouped driver
+  // against the scalar reference; in-domain fault storms keep it active.
   EXPECT_TRUE(rep.packed_lane);
   // Lane G: ring 0 advanced as a column of the cross-ring vector-RNG
   // driver, lockstep with decoy rings, still bit-identical to lane A.
@@ -184,7 +183,6 @@ TEST(Differential, PlPackedLanesAtLargerRingsWithStorms) {
     const auto rep = run_differential<pl::PlProtocol>(
         p, pl::random_config(p, cfg_rng), cfg, pl_fault);
     EXPECT_TRUE(rep.ok) << "n=" << n << ": " << rep.divergence;
-    EXPECT_TRUE(rep.word_lane) << n;
     EXPECT_TRUE(rep.packed_lane) << n;
     EXPECT_TRUE(rep.lockstep_lane) << n;
   }
@@ -192,7 +190,7 @@ TEST(Differential, PlPackedLanesAtLargerRingsWithStorms) {
 
 TEST(Differential, PlOutOfDomainFaultDropsPackedLanesExactly) {
   // A fault outside the declared variable domains must fail the pack
-  // round-trip, drop lanes B/D to their scalar paths, and still diverge
+  // round-trip, drop lanes D/G to the generic path, and still diverge
   // nowhere.
   const auto p = pl::PlParams::make(12, 4);
   core::Xoshiro256pp cfg_rng(77);
@@ -212,8 +210,8 @@ TEST(Differential, PlOutOfDomainFaultDropsPackedLanesExactly) {
   const auto rep = run_differential<pl::PlProtocol>(
       p, pl::random_config(p, cfg_rng), cfg, garbage_fault);
   EXPECT_TRUE(rep.ok) << rep.divergence;
-  EXPECT_FALSE(rep.word_lane);    // permanently back on the scalar path
-  EXPECT_FALSE(rep.packed_lane);  // same for the ensemble kernel lane
+  EXPECT_FALSE(rep.packed_lane);    // permanently on the generic path
+  EXPECT_FALSE(rep.lockstep_lane);  // same for the lockstep lane
 }
 
 TEST(Differential, BrokenWordKernelIsDetected) {
@@ -243,7 +241,7 @@ TEST(Differential, BrokenWordKernelIsDetected) {
       for (int j = 0; j < 8; ++j) sabotage(r[j]);
     }
   };
-  static_assert(core::Runner<BrokenWordPl>::kWordKernel);
+  static_assert(core::EnsembleRunner<BrokenWordPl>::kWordable);
   const auto p = pl::PlParams::make(8, 4);
   core::Xoshiro256pp cfg_rng(5);
   FuzzConfig cfg;
@@ -253,11 +251,11 @@ TEST(Differential, BrokenWordKernelIsDetected) {
   const auto rep = run_differential<BrokenWordPl>(
       p, pl::random_config(p, cfg_rng), cfg, pl_fault);
   EXPECT_FALSE(rep.ok);
-  // The word kernel drives lanes B and D; the scalar lanes A/C/F are the
+  // The word kernel drives lanes D and G; the scalar lanes A/B/C are the
   // truth, so the first divergence names a word lane.
   const bool named_word_lane =
-      rep.divergence.find("B(run)") != std::string::npos ||
-      rep.divergence.find("D(ensemble-packed)") != std::string::npos;
+      rep.divergence.find("D(ensemble-packed)") != std::string::npos ||
+      rep.divergence.find("G(ensemble-lockstep)") != std::string::npos;
   EXPECT_TRUE(named_word_lane) << rep.divergence;
 }
 
@@ -265,7 +263,7 @@ TEST(Differential, BrokenLockstepVectorLaneIsDetected) {
   // The canary for the lane-parallel (vector-RNG) cross-ring driver: only
   // the vector kernel entries are broken, on a ring too short to hold four
   // disjoint edges (n < 8). There the single-ring grouped path never finds
-  // a disjoint group, so lanes B and D only ever call apply_word_one and
+  // a disjoint group, so lane D only ever calls apply_word_one and
   // only lane G, one column of a full cross-ring group, consumes the
   // vector entries. A bit of drift there must be caught at the first
   // checkpoint and named as the lockstep lane. This is the flipped-bit
@@ -283,7 +281,7 @@ TEST(Differential, BrokenLockstepVectorLaneIsDetected) {
       for (int j = 0; j < 8; ++j) r[j] ^= 0x2;
     }
   };
-  static_assert(core::Runner<BrokenVectorPl>::kWordKernel);
+  static_assert(core::EnsembleRunner<BrokenVectorPl>::kWordable);
   const auto p = pl::PlParams::make(7, 4);
   core::Xoshiro256pp cfg_rng(6);
   FuzzConfig cfg;
