@@ -30,6 +30,11 @@ checks:
   atoi-family         atoi, atol, atoll and atof turn garbage into 0
                       silently; argv and env values go through the strict
                       core::parse_int64 / core::env_int64 family instead.
+  assert-only-check   assert() vanishes from the Release build, so it may
+                      only state an internal invariant, never check an
+                      external input (those throw). Every assert( carries an
+                      `// invariant: <reason>` comment on its line or the
+                      line above; static_assert is exempt.
 
 The default scan covers src/ and examples/.
 
@@ -69,6 +74,7 @@ RULES = (
     "unordered-iteration",
     "cold-path",
     "atoi-family",
+    "assert-only-check",
 )
 
 ATOI_FAMILY = {"atoi", "atol", "atoll", "atof"}
@@ -436,6 +442,23 @@ def _rule_atoi_family(path, rel, tokens, add):
                 "core::parse_int64 / core::env_int64 (core/env.hpp)")
 
 
+_INVARIANT = re.compile(r"\binvariant:")
+
+
+def _rule_assert_only_check(path, rel, tokens, add, comments):
+    reasons = {line for line, text in comments if _INVARIANT.search(text)}
+    for i, t in enumerate(tokens):
+        member = i >= 1 and tokens[i - 1].text in (".", "->", "::")
+        if (t.kind == "id" and t.text == "assert" and not member and
+                i + 1 < len(tokens) and tokens[i + 1].text == "(" and
+                t.line not in reasons and t.line - 1 not in reasons):
+            add(t.line, "assert-only-check",
+                "assert() is compiled out of Release builds — throw on "
+                "external input, or state the internal invariant in an "
+                "`// invariant: <reason>` comment on this line or the "
+                "line above")
+
+
 def lint_file(path: pathlib.Path, engine) -> list[Violation]:
     try:
         rel = str(path.resolve().relative_to(REPO))
@@ -470,6 +493,7 @@ def lint_file(path: pathlib.Path, engine) -> list[Violation]:
     _rule_unordered_iteration(path, rel, tokens, add)
     _rule_cold_path(path, rel, tokens, add, cold_names)
     _rule_atoi_family(path, rel, tokens, add)
+    _rule_assert_only_check(path, rel, tokens, add, comments)
     return out
 
 

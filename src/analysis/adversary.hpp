@@ -314,9 +314,10 @@ template <typename P, typename Topo = core::RingTopology>
                       const typename P::Params& p) {
     return Adversary<P>::recovered(c, p);
   };
-  // Every Adversary<P>::recovered returns false unless count_leaders == 1
-  // (tests/analysis/census_gate_test.cpp pins it per protocol).
-  spec.recovered_implies_unique_leader = true;
+  // Adversary<P>::recovered is P's safe set, which requires
+  // count_leaders == 1 (tests/analysis/census_gate_test.cpp pins it per
+  // protocol).
+  spec.recovered_is_safe_set = true;
   spec.plan = plan;
   return spec;
 }

@@ -43,17 +43,25 @@
 // hitting times are quantized up to that granularity; fault injections
 // themselves land at exact offsets.
 //
-// Census gate: a spec may declare `recovered_implies_unique_leader` — its
-// predicate can only hold on a configuration with exactly one leader, as
-// the safe sets of all four study protocols do (S_PL, Def. 4.6, and its
-// baseline analogs each start from `count_leaders == 1`, counted on the
-// same field P::is_leader reads). The ensemble driver then skips both the
-// state materialization and the predicate call at every check where the
-// ring's O(1) leader census is not 1; since the census is exact, the
-// predicate would have returned false there, so no hitting step moves.
-// Hand-built specs leave it false and are checked at every block, and the
-// per-trial reference path (detail::recovery_trial, Runner::run_until)
-// never gates — it stays an independent oracle for the gated driver.
+// Safe-set declaration: a spec may declare `recovered_is_safe_set` — its
+// predicate is the protocol's safe set, as make_recovery_scenario's is for
+// all four study protocols. Two shortcuts of the ensemble driver follow,
+// and neither moves a hitting step:
+//   * census gate — each of those safe sets (S_PL, Def. 4.6, and its
+//     baseline analogs) starts from `count_leaders == 1`, counted on the
+//     same field P::is_leader reads (tests/analysis/census_gate_test.cpp
+//     pins it per protocol). At every check where a ring's O(1) leader
+//     census is not 1, the driver skips both the state materialization and
+//     the predicate call; the census is exact, so the predicate would have
+//     returned false there.
+//   * word check — on the word-kernel lane, a ring whose census is 1 is
+//     checked on its slice of the packed u64 mirror
+//     (core::HasWordSafeSet, P_PL's pl::is_safe_words), never unpacking it
+//     and never calling `recovered`.
+// Hand-built specs leave it false and have `recovered` called at every
+// block, and the per-trial reference path (detail::recovery_trial,
+// Runner::run_until) always calls `recovered` on States — it stays an
+// independent oracle for the ensemble driver.
 //
 // Topology and scheduler faults: ScenarioSpec is templated on a
 // core::Topology (ring by default — existing campaigns are untouched) and
@@ -164,20 +172,19 @@ struct ScenarioSpec {
   /// recovery phases alike): omission probability and/or biased arc
   /// distribution. Default-inactive — the clean fast paths stay engaged.
   core::SchedulerFaults sched_faults;
-  /// Declared property of `recovered`: it returns false on every
-  /// configuration whose leader census (P::is_leader) is not exactly 1.
-  /// A necessary condition of membership, so the ensemble driver may skip
-  /// the predicate on such rings without moving a hitting step (see the
-  /// header comment). make_recovery_scenario sets it for the four study
-  /// protocols; only valid for a protocol with a leader census
-  /// (validate_spec). Not part of a campaign's digest: it changes how
-  /// often the predicate runs, never a result.
-  bool recovered_implies_unique_leader = false;
+  /// Declared property of `recovered`: it is the protocol's safe set. The
+  /// ensemble driver then gates the check on the leader census and, on the
+  /// word lane, evaluates it on the packed words (see the header comment).
+  /// make_recovery_scenario sets it for the four study protocols; only
+  /// valid for a protocol with a leader census (validate_spec). Not part of
+  /// a campaign's digest: it changes how the predicate is evaluated, never
+  /// a result.
+  bool recovered_is_safe_set = false;
 };
 
 /// Submission-time checks of a spec, in every build type: the scheduler
 /// fault model against the arc count of the spec's topology at params.n,
-/// and the unique-leader declaration against the protocol's census.
+/// and the safe-set declaration against the protocol's census.
 /// Throws std::invalid_argument naming the problem.
 template <typename P, typename Topo>
 void validate_spec(const typename P::Params& params,
@@ -185,11 +192,11 @@ void validate_spec(const typename P::Params& params,
   spec.sched_faults.validate(
       static_cast<std::size_t>(Topo(params.n).arc_count(P::directed)));
   if constexpr (!core::HasLeaderOutput<P>) {
-    if (spec.recovered_implies_unique_leader)
+    if (spec.recovered_is_safe_set)
       throw std::invalid_argument(
           "ScenarioSpec '" + spec.name +
-          "': recovered_implies_unique_leader needs a protocol with a "
-          "leader census (P::is_leader)");
+          "': recovered_is_safe_set needs a protocol with a leader census "
+          "(P::is_leader)");
   }
 }
 
@@ -297,9 +304,9 @@ void ensemble_recovery_shard(const typename P::Params& params,
   if (spec.sched_faults.active())
     ensemble.set_scheduler_faults(spec.sched_faults);
 
-  const bool gate = spec.recovered_implies_unique_leader;
+  const bool safe_set = spec.recovered_is_safe_set;
   const auto stab = ensemble.run_until_each(spec.recovered, plan.max_steps,
-                                            plan.check_every, gate);
+                                            plan.check_every, safe_set);
   const auto schedule = sorted_schedule(spec);
   std::vector<int> recovering;
   std::vector<std::uint64_t> last_injection(count, 0);
@@ -325,7 +332,7 @@ void ensemble_recovery_shard(const typename P::Params& params,
 
   std::vector<std::uint64_t> rec(count, npos);
   ensemble.run_until_each(recovering, spec.recovered, plan.max_steps,
-                          plan.check_every, rec, gate);
+                          plan.check_every, rec, safe_set);
   for (int r : recovering) {
     const auto i = static_cast<std::size_t>(r);
     if (rec[i] == npos) continue;  // recovery failure

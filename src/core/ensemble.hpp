@@ -53,16 +53,25 @@
 // same lazy materialization, delta census and round-trip fallback contract
 // the LUT lane has. run(k) advances rings in *cross-ring lockstep* — one
 // SIMD lane per ring, no disjointness proofs, effective at any n — and
-// run_until_each batches the rings still owed a full check_every block.
+// run_until_each batches the rings still owed a full check_every block. A
+// trailing partial group of at least WordGroupDriver::lockstep_min_rings
+// rings runs in lockstep too, its idle lanes parked on a scratch block of
+// in-domain words (idle_words_).
 //
 // run_until_each mirrors Runner::run_until per ring (pre-check, then blocks
-// of check_every against a per-ring deadline); converged or timed-out rings
-// retire from a compacted active index array so a few slow rings never pay
-// for the fast majority.
+// of check_every against a saturated per-ring deadline); converged or
+// timed-out rings retire from a compacted active index array so a few slow
+// rings never pay for the fast majority. A predicate declared to be P's
+// safe set (ScenarioSpec::recovered_is_safe_set) is census-gated — a ring
+// whose leader census is not 1 fails the check unread — and, on the word
+// lane of a protocol with a word-form safe set (HasWordSafeSet: P_PL), a
+// ring whose census is 1 is checked on its slice of the u64 mirror, so the
+// campaign's recovery loop never unpacks a ring.
 #pragma once
 
 #include <algorithm>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -88,6 +97,19 @@ concept HasPackedStates =
       { P::num_states(p) } -> std::convertible_to<std::size_t>;
       { P::pack_state(s, p) } -> std::convertible_to<std::size_t>;
       { P::unpack_state(v, p) } -> std::convertible_to<typename P::State>;
+    };
+
+/// Word-kernel protocols that can also test membership in their safe set on
+/// one ring's packed words (P_PL: pl::is_safe_words), giving the same
+/// verdict as the State-form safe-set predicate on the unpacked ring. The
+/// word lane's run_until_each checks a predicate declared to be the safe
+/// set here, without materializing the ring's states.
+template <typename P>
+concept HasWordSafeSet =
+    HasWordKernel<P> &&
+    requires(std::span<const std::uint64_t> w,
+             const typename P::WordLayout& lay, const typename P::Params& p) {
+      { P::is_safe_words(w, lay, p) } -> std::convertible_to<bool>;
     };
 
 template <typename P, typename Topo = RingTopology>
@@ -336,61 +358,76 @@ class EnsembleRunner {
 
   /// Per-ring Runner::run_until over the whole ensemble: for every ring,
   /// check `pred` up front, then run blocks of `check_every` (0 = every ~n)
-  /// against a per-ring deadline of `max_steps` further interactions,
-  /// retiring rings from a compacted active set as they hit the predicate or
-  /// the deadline. Returns, per ring, the step count at the first satisfied
-  /// check (exactly Runner::run_until's value) or npos on timeout.
+  /// against a per-ring deadline of `max_steps` further interactions
+  /// (saturated: UINT64_MAX never times out), retiring rings from a
+  /// compacted active set as they hit the predicate or the deadline.
+  /// Returns, per ring, the step count at the first satisfied check
+  /// (exactly Runner::run_until's value) or npos on timeout.
   ///
-  /// `unique_leader_gate` declares that `pred` can only hold on a ring with
-  /// exactly one leader (ScenarioSpec::recovered_implies_unique_leader). A
-  /// ring whose O(1) census RingClock::leader_count is not 1 then fails the
-  /// check without materializing its states or calling `pred`; where the
-  /// declaration holds, every hit step is unchanged. Throws
-  /// std::invalid_argument for a protocol without a leader census.
+  /// `pred_is_safe_set` declares that `pred` is P's safe set
+  /// (ScenarioSpec::recovered_is_safe_set). Two shortcuts follow, neither
+  /// of which moves a hit step where the declaration holds:
+  ///   * census gate — every study protocol's safe set requires exactly one
+  ///     leader, so a ring whose O(1) census RingClock::leader_count is not
+  ///     1 fails the check without materializing its states or calling
+  ///     `pred`;
+  ///   * word check — in the word-kernel lane, a protocol with a word-form
+  ///     safe set (HasWordSafeSet) has a ring with census 1 checked on its
+  ///     slice of the u64 mirror, again without sync_ring or `pred`.
+  /// Throws std::invalid_argument for a protocol without a leader census.
   template <typename Pred>
   [[nodiscard]] std::vector<std::uint64_t> run_until_each(
       Pred&& pred, std::uint64_t max_steps, std::uint64_t check_every = 0,
-      bool unique_leader_gate = false) {
+      bool pred_is_safe_set = false) {
     std::vector<int> rings(clocks_.size());
     for (std::size_t r = 0; r < rings.size(); ++r)
       rings[r] = static_cast<int>(r);
     std::vector<std::uint64_t> hits(clocks_.size(), npos);
     run_until_each(rings, pred, max_steps, check_every, hits,
-                   unique_leader_gate);
+                   pred_is_safe_set);
     return hits;
   }
 
   /// Subset form: only the rings listed in `rings` participate (the others
-  /// do not advance). `hits` must span ring_count(); entries of
-  /// non-participating rings are left untouched. Throws
+  /// do not advance). `hits` must span ring_count(); a participating ring's
+  /// entry gets its hit step or npos, entries of non-participating rings
+  /// are left untouched. Throws
   /// std::invalid_argument, in every build type, when it does not: a short
   /// span would be written past its end.
   template <typename Pred>
   void run_until_each(std::vector<int> rings, Pred&& pred,
                       std::uint64_t max_steps, std::uint64_t check_every,
                       std::span<std::uint64_t> hits,
-                      bool unique_leader_gate = false) {
+                      bool pred_is_safe_set = false) {
     if (hits.size() != clocks_.size())
       throw std::invalid_argument(
           "EnsembleRunner::run_until_each: hits spans " +
           std::to_string(hits.size()) + " rings, ensemble has " +
           std::to_string(clocks_.size()));
     if constexpr (!HasLeaderOutput<P>) {
-      if (unique_leader_gate)
+      if (pred_is_safe_set)
         throw std::invalid_argument(
-            "EnsembleRunner::run_until_each: unique-leader gate on a "
+            "EnsembleRunner::run_until_each: safe-set declaration on a "
             "protocol without a leader census");
     }
     if (check_every == 0)
       check_every = static_cast<std::uint64_t>(params_.n);
     const auto holds = [&](int r) -> bool {
-      if (unique_leader_gate &&
-          clocks_[static_cast<std::size_t>(r)].leader_count != 1)
-        return false;
+      if (pred_is_safe_set) {
+        if (clocks_[static_cast<std::size_t>(r)].leader_count != 1)
+          return false;
+        if constexpr (kWordable && HasWordSafeSet<P>) {
+          if (word_active_)
+            return P::is_safe_words(
+                {words_.data() + ring_offset(r),
+                 static_cast<std::size_t>(params_.n)},
+                layout_, params_);
+        }
+      }
       return pred(agents(r), params_);
     };
     // Per-ring deadline, indexed by ring id (mirrors Runner::run_until's
-    // `deadline = steps + max_steps` computed at entry).
+    // saturated `steps + max_steps` computed at entry).
     std::vector<std::uint64_t> deadline(clocks_.size(), 0);
     // Pre-check: a ring already satisfying the predicate hits at its current
     // step without consuming any randomness.
@@ -401,7 +438,7 @@ class EnsembleRunner {
         hits[ri] = clocks_[ri].steps;
         continue;
       }
-      deadline[ri] = clocks_[ri].steps + max_steps;
+      deadline[ri] = detail::run_deadline(clocks_[ri].steps, max_steps);
       rings[w++] = r;
     }
     rings.resize(w);
@@ -444,7 +481,10 @@ class EnsembleRunner {
           hits[ri] = clocks_[ri].steps;
           continue;
         }
-        if (clocks_[ri].steps >= deadline[ri]) continue;  // timeout: npos
+        if (clocks_[ri].steps >= deadline[ri]) {
+          hits[ri] = npos;  // timeout
+          continue;
+        }
         rings[w++] = r;
       }
       rings.resize(w);
@@ -588,6 +628,8 @@ class EnsembleRunner {
     word_active_ = false;
     words_.clear();
     words_.shrink_to_fit();
+    idle_words_.clear();
+    idle_words_.shrink_to_fit();
   }
 
   /// Materialize ring r's State block from the active accelerator mirror if
@@ -750,15 +792,25 @@ class EnsembleRunner {
 
   /// Cross-ring lockstep: every listed ring advances `k` interactions with
   /// one SIMD lane per ring (no disjointness proofs — rings share
-  /// nothing). Bit-identical per ring to advance_ring_word.
+  /// nothing). Bit-identical per ring to advance_ring_word. The idle lanes
+  /// of a padded trailing group run on `idle_words_`, seeded at first use
+  /// with copies of ring 0's words (in-domain by the round-trip check, and
+  /// the kernel keeps them so); what they compute is never read.
   void advance_rings_word(const std::vector<int>& rings, int nrings,
                           std::uint64_t k)
     requires(kWordable)
   {
+    const auto n = static_cast<std::size_t>(params_.n);
+    if (idle_words_.empty()) {
+      idle_words_.reserve(WordGroupDriver<P>::kMaxIdleLanes * n);
+      for (int j = 0; j < WordGroupDriver<P>::kMaxIdleLanes; ++j)
+        idle_words_.insert(idle_words_.end(), words_.begin(),
+                           words_.begin() + static_cast<std::ptrdiff_t>(n));
+    }
     WordGroupDriver<P>::run_rings_block(
-        words_.data(), static_cast<std::size_t>(params_.n), rings.data(),
-        nrings, params_.n, bound_, threshold_, rngs_.data(), clocks_.data(),
-        consts_, k);
+        words_.data(), n, rings.data(), nrings, params_.n, bound_,
+        threshold_, rngs_.data(), clocks_.data(), consts_, k,
+        idle_words_.data());
     for (int i = 0; i < nrings; ++i)
       dirty_[static_cast<std::size_t>(
           rings[static_cast<std::size_t>(i)])] = 1;
@@ -788,6 +840,9 @@ class EnsembleRunner {
   WordLayout layout_{};             ///< valid only in word-kernel mode
   WordConsts consts_{};             ///< kernel constants (word-kernel mode)
   std::vector<std::uint64_t> words_;  ///< u64 mirror of states_, same layout
+  /// Parking slices for the idle lanes of a padded lockstep group
+  /// (WordGroupDriver::kMaxIdleLanes * n words, allocated at first use).
+  std::vector<std::uint64_t> idle_words_;
   std::vector<int> all_rings_;      ///< reusable [0, ring_count) id list
   bool word_active_ = false;        ///< word-kernel lane drives the hot loop
 };

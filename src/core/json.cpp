@@ -55,6 +55,7 @@ void JsonWriter::begin_object() {
 }
 
 void JsonWriter::end_object() {
+  // invariant: writers are straight-line bench code; nesting is static.
   assert(!stack_.empty() && stack_.back() == '{' && !after_key_);
   const bool empty = first_in_scope_;
   stack_.pop_back();
@@ -74,6 +75,7 @@ void JsonWriter::begin_array() {
 }
 
 void JsonWriter::end_array() {
+  // invariant: writers are straight-line bench code; nesting is static.
   assert(!stack_.empty() && stack_.back() == '[' && !after_key_);
   const bool empty = first_in_scope_;
   stack_.pop_back();
@@ -86,6 +88,7 @@ void JsonWriter::end_array() {
 }
 
 void JsonWriter::key(const char* name) {
+  // invariant: writers are straight-line bench code; nesting is static.
   assert(!stack_.empty() && stack_.back() == '{' && !after_key_);
   separate();
   write_string(name);
@@ -123,6 +126,7 @@ void JsonWriter::value(std::uint64_t v) {
 }
 
 void JsonWriter::finish() {
+  // invariant: writers are straight-line bench code; nesting is static.
   assert(stack_.empty() && !after_key_);
   std::fputc('\n', out_);
 }

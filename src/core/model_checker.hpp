@@ -25,11 +25,11 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -122,7 +122,10 @@ class ModelChecker {
   ModelChecker(Topo topo, Params params,
                std::uint64_t node_budget = kMaxConfigurations)
       : params_(std::move(params)), topo_(std::move(topo)) {
-    assert(topo_.n() == params_.n);
+    if (topo_.n() != params_.n)
+      throw std::invalid_argument(
+          "ModelChecker: topology has " + std::to_string(topo_.n()) +
+          " agents, params.n is " + std::to_string(params_.n));
     init_capacity(node_budget);
   }
 

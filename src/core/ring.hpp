@@ -13,7 +13,7 @@ namespace ppsim::core {
 
 /// i + d (mod n) for 0 <= i < n and d possibly negative or > n.
 [[nodiscard]] constexpr int ring_add(int i, long long d, int n) noexcept {
-  assert(n > 0);
+  assert(n > 0);  // invariant: n is a built ring's size (checked at build)
   long long v = (static_cast<long long>(i) + d) % n;
   if (v < 0) v += n;
   return static_cast<int>(v);
@@ -21,7 +21,7 @@ namespace ppsim::core {
 
 /// Clockwise (left-to-right) distance from i to j on a ring of size n.
 [[nodiscard]] constexpr int ring_distance(int i, int j, int n) noexcept {
-  assert(n > 0);
+  assert(n > 0);  // invariant: n is a built ring's size (checked at build)
   int d = j - i;
   if (d < 0) d += n;
   return d;
@@ -45,6 +45,8 @@ struct ArcEndpoints {
 /// the responder". On the undirected ring there are 2n arcs; arc n + i is the
 /// reverse of e_i, i.e. (u_{i+1 mod n} initiator, u_i responder).
 [[nodiscard]] constexpr ArcEndpoints arc_endpoints(int arc, int n) noexcept {
+  // Hot path: arcs come from a bounded draw or a range-checked public
+  // entry (Runner::apply_arc). invariant: arc is in [0, 2n).
   assert(n > 0 && arc >= 0 && arc < 2 * n);
   if (arc < n) {
     return {arc, arc + 1 == n ? 0 : arc + 1};
@@ -60,6 +62,7 @@ struct ArcEndpoints {
 /// (src/verification/quotient.hpp). Verified against arc_endpoints in
 /// tests/core/ring_test.cpp.
 [[nodiscard]] constexpr int rotate_arc(int arc, int delta, int n) noexcept {
+  // invariant: the quotient only rotates arcs of its own ring.
   assert(n > 0 && arc >= 0 && arc < 2 * n);
   if (arc < n) return ring_add(arc, delta, n);
   return n + ring_add(arc - n, delta, n);
@@ -70,6 +73,7 @@ struct ArcEndpoints {
 /// arcs and back — an automorphism of the *undirected* scheduler's arc set
 /// (all 2n arcs, uniform) but not of the directed one. An involution.
 [[nodiscard]] constexpr int reflect_arc(int arc, int n) noexcept {
+  // invariant: the quotient only reflects arcs of its own ring.
   assert(n > 0 && arc >= 0 && arc < 2 * n);
   // n - 2 - arc can be negative, so it rides in ring_add's delta argument
   // (the only one allowed out of range).
@@ -95,7 +99,7 @@ struct ArcEndpoints {
 /// Precondition: length >= 0 (asserted; a negative length is a caller bug,
 /// not an empty sweep).
 [[nodiscard]] inline std::vector<int> seq_r(int start, int length, int n) {
-  assert(length >= 0);
+  assert(length >= 0);  // invariant: lengths are the paper's sweep sizes
   std::vector<int> out;
   if (length <= 0) return out;
   out.reserve(static_cast<std::size_t>(length));
@@ -106,7 +110,7 @@ struct ArcEndpoints {
 /// seq_L(i, j) = e_{i-1}, e_{i-2}, ..., e_{i-j}  (a counter-clockwise sweep)
 /// Precondition: length >= 0 (asserted).
 [[nodiscard]] inline std::vector<int> seq_l(int start, int length, int n) {
-  assert(length >= 0);
+  assert(length >= 0);  // invariant: lengths are the paper's sweep sizes
   std::vector<int> out;
   if (length <= 0) return out;
   out.reserve(static_cast<std::size_t>(length));
@@ -128,7 +132,7 @@ struct ArcEndpoints {
 /// allocator.
 [[nodiscard]] inline std::vector<int> seq_repeat(const std::vector<int>& s,
                                                  int times) {
-  assert(times >= 0);
+  assert(times >= 0);  // invariant: repeat counts are literal sweep counts
   std::vector<int> out;
   if (times <= 0 || s.empty()) return out;
   out.reserve(s.size() * static_cast<std::size_t>(times));

@@ -114,6 +114,7 @@ class Xoshiro256pp {
   /// block sampler is kept for callers that want arc schedules as data.
   void fill_bounded(std::uint32_t* dst, std::size_t count,
                     std::uint64_t bound) noexcept {
+    // invariant: callers pass an arc count, positive and far below 2^32.
     assert(bound > 0 && bound <= (1ULL << 32));
     const std::uint64_t threshold = rejection_threshold(bound);
     for (std::size_t i = 0; i < count; ++i) {

@@ -136,6 +136,16 @@ inline void require_n_agents(std::size_t got, int n, const char* what) {
                                 std::to_string(n));
 }
 
+/// The step at which a run_until budget of `max_steps` further interactions
+/// ends, saturated at UINT64_MAX: an unbounded budget on a ring that has
+/// already stepped must not wrap around to a deadline in the past.
+[[nodiscard]] constexpr std::uint64_t run_deadline(
+    std::uint64_t steps, std::uint64_t max_steps) noexcept {
+  return max_steps > std::numeric_limits<std::uint64_t>::max() - steps
+             ? std::numeric_limits<std::uint64_t>::max()
+             : steps + max_steps;
+}
+
 /// Cumulative-threshold table for biased (non-uniform) arc draws: arc i is
 /// selected when the raw 64-bit draw falls in [cum[i-1], cum[i]). One raw
 /// next() of the *main* scheduler stream per draw, resolved by binary
@@ -565,6 +575,12 @@ struct WordGroupDriver {
 #endif
   }
 
+  /// Group width G of both drivers on this machine's ISA: 8 with the
+  /// AVX-512 clones, 4 otherwise.
+  [[nodiscard]] static int lanes() {
+    return isa_level() == 2 ? kLanesOf<WordVec8> : kWordLanes;
+  }
+
   /// Engagement floor for the single-ring grouped path: the estimated
   /// probability that a full group of G draws is pairwise disjoint. Below
   /// it the grouped path degrades to (mostly) scalar word steps plus the
@@ -572,23 +588,40 @@ struct WordGroupDriver {
   /// loop — the honest 0.72x cell at n = 64 in PR 5's table.
   static constexpr double kEngageMinDisjoint = 0.5;
 
-  /// Measured-engagement heuristic for the single-ring grouped path. Each
-  /// prior draw in a group occupies two adjacent agents, conflicting with
-  /// ~4 of the n (2n undirected) arcs, so a group of G draws is fully
-  /// disjoint with probability ~ prod_{j<G} (1 - 4j/n). True when that
-  /// estimate clears kEngageMinDisjoint for the ISA's group width — e.g.
-  /// at G = 8: n = 1024 -> 0.90 (engage), n = 256 -> 0.64 (engage),
-  /// n = 64 -> 0.12 (stay scalar). Benches report single-ring packed
-  /// cells only where this holds. Cross-ring lockstep lanes are never
-  /// gated: they need no disjointness proof.
-  [[nodiscard]] static bool single_ring_engaged(int n) noexcept {
-    const int g = isa_level() == 2 ? kLanesOf<WordVec8> : kWordLanes;
+  /// Estimated probability that a group of g scheduler draws on a ring of
+  /// n agents is pairwise disjoint. Each prior draw in a group occupies two
+  /// adjacent agents, conflicting with ~4 of the n (2n undirected) arcs,
+  /// so ~ prod_{j<g} (1 - 4j/n) — e.g. at g = 8: n = 1024 -> 0.90,
+  /// n = 256 -> 0.64, n = 64 -> 0.12.
+  [[nodiscard]] static double disjoint_probability(int n, int g) noexcept {
     double p = 1.0;
     for (int j = 1; j < g; ++j) {
       const double q = 1.0 - 4.0 * static_cast<double>(j) / n;
       p *= q > 0.0 ? q : 0.0;
     }
-    return p >= kEngageMinDisjoint;
+    return p;
+  }
+
+  /// Measured-engagement heuristic for the single-ring grouped path: true
+  /// when disjoint_probability clears kEngageMinDisjoint for the ISA's
+  /// group width (at G = 8: engaged from n = 256, scalar at n = 64).
+  /// Benches report single-ring packed cells only where this holds.
+  [[nodiscard]] static bool single_ring_engaged(int n) noexcept {
+    return disjoint_probability(n, lanes()) >= kEngageMinDisjoint;
+  }
+
+  /// Fewest live rings a cross-ring lockstep group of width g runs with on
+  /// rings of n agents. A lockstep step does `live` useful interactions per
+  /// vector kernel call; run_block does g whenever its group of g draws is
+  /// disjoint, so per ring it stays the faster engine until live reaches
+  /// disjoint_probability(n, g) * g — and never fewer than g/2, so at most
+  /// half a group idles. Measured break-even at g = 8 (AVX-512, padded
+  /// group vs per-ring run_block): ~2 live rings at n = 16, ~5 at 256,
+  /// 5.5-6.5 at 384-768, above 7 at 1024; from n = 1024 a partial group
+  /// never pays and this returns g.
+  [[nodiscard]] static int lockstep_min_rings(int n, int g) noexcept {
+    return std::max(
+        g / 2, static_cast<int>(std::ceil(disjoint_probability(n, g) * g)));
   }
 
   static void run_block(std::uint64_t* words, int n, std::uint64_t bound,
@@ -948,6 +981,162 @@ struct WordGroupDriver {
     clk0 = clk;
   }
 
+  /// One lockstep group of rings_impl: `live` rings (rg[0..live)) in the
+  /// first lanes, any idle lanes on their `idle_words` slices.
+  template <typename VW>
+  [[gnu::always_inline]] static inline void lockstep_group(
+      std::uint64_t* words_base, std::size_t ring_stride, const int* rg,
+      int live, int n, std::uint64_t bound, std::uint64_t threshold,
+      Xoshiro256pp* rngs, RingClock* clks, const Consts& kc0,
+      std::uint64_t k, std::uint64_t* idle_words) {
+    const Consts kc = kc0;
+    constexpr int G = kLanesOf<VW>;
+    std::uint64_t* base[G];
+    Xoshiro256pp rng[G];
+    RingClock clk[G];
+    std::uint64_t step0[G];
+    for (int j = 0; j < G; ++j) {
+      if (j < live) {
+        const int r = rg[j];
+        base[j] = words_base + ring_stride * static_cast<std::size_t>(r);
+        rng[j] = rngs[r];
+        clk[j] = clks[r];
+      } else {
+        base[j] = idle_words +
+                  static_cast<std::size_t>(j - live) *
+                      static_cast<std::size_t>(n);
+        rng[j] = rng[0];
+        clk[j] = clk[0];
+      }
+      step0[j] = clk[j].steps;
+    }
+    XoshiroLanes<VW> lanes;
+    lanes.load(rng);
+    // clk.steps stays frozen during the block (every ring advances
+    // exactly k), so the rare census path takes the running step as an
+    // argument and the hot loop never touches the clocks.
+    if constexpr (kLanesOf<VW> == 8 && kHaveHwGather) {
+      // Fully vectorized lane: endpoints stay SIMD columns end to end.
+      // Each lane's operand address is ring-base + agent*8, so one
+      // absolute-address hardware gather/scatter per operand replaces
+      // the per-lane extract/insert chains (~100 front-end uops/step).
+      // Scatter lanes never collide: one agent per disjoint ring or
+      // idle slice.
+      VW vbase;
+      for (int j = 0; j < G; ++j) {
+        vbase[j] = reinterpret_cast<std::uint64_t>(base[j]);
+      }
+      const VW vn = vbroadcast<VW>(static_cast<std::uint64_t>(n));
+      const VW v1 = vbroadcast<VW>(1);
+      // Vector arc_endpoints (same mapping as core/ring.hpp): m is the
+      // arc's edge id, succ its clockwise neighbour; a reversed arc
+      // (undirected only) swaps initiator and responder.
+      const auto draw_vec = [&](VW& pa, VW& pb) __attribute__((
+          always_inline)) {
+        const VW arcs = lanes.bounded_with_threshold(bound, threshold);
+        if constexpr (P::directed) {
+          pa = arcs;
+          const VW t = arcs + v1;
+          pb = t & ~veq(t, vn);
+        } else {
+          const VW rev = vgt(arcs, vn - v1);  // arc >= n: reversed
+          const VW m = arcs - (vn & rev);
+          const VW t = m + v1;
+          const VW succ = t & ~veq(t, vn);
+          pa = (m & ~rev) | (succ & rev);
+          pb = (succ & ~rev) | (m & rev);
+        }
+      };
+      VW via{};
+      VW vib{};
+      if (k > 0) draw_vec(via, vib);
+      for (std::uint64_t s = 0; s < k; ++s) {
+        const VW aa = vbase + (via << 3);
+        const VW ab = vbase + (vib << 3);
+        VW wa = gather8_addr(aa);
+        VW wb = gather8_addr(ab);
+        // Software pipeline: next step's draw ahead of this step's
+        // kernel.
+        VW nva;
+        VW nvb;
+        const bool more = s + 1 < k;
+        if (more) draw_vec(nva, nvb);
+        const VW oa = wa;
+        const VW ob = wb;
+        P::apply_word_x8(wa, wb, kc);
+        scatter8_addr(aa, wa);
+        scatter8_addr(ab, wb);
+        if constexpr (HasLeaderOutput<P>) {
+          const VW dl = (wa ^ oa) | (wb ^ ob);
+          if ((orfold(dl) & 1) != 0) [[unlikely]] {
+            census_replay_rings<VW>(oa, ob, wa, wb, clk, step0, s);
+          }
+        }
+        if (more) {
+          via = nva;
+          vib = nvb;
+        }
+      }
+    } else {
+      int ia[G] = {};  // zero-init: k == 0 legitimately skips the prologue
+      int ib[G] = {};
+      const auto draw = [&](int* pa, int* pb) __attribute__((
+          always_inline)) {
+        const VW arcs = lanes.bounded_with_threshold(bound, threshold);
+        for (int j = 0; j < G; ++j) {
+          const ArcEndpoints e =
+              arc_endpoints(static_cast<int>(arcs[j]), n);
+          pa[j] = e.initiator;
+          pb[j] = e.responder;
+        }
+      };
+      if (k > 0) draw(ia, ib);
+      for (std::uint64_t s = 0; s < k; ++s) {
+        VW wa;
+        VW wb;
+        for (int j = 0; j < G; ++j) {
+          wa[j] = base[j][ia[j]];
+          wb[j] = base[j][ib[j]];
+        }
+        // Software pipeline: next step's draw ahead of this step's kernel.
+        int na[G];
+        int nb[G];
+        const bool more = s + 1 < k;
+        if (more) draw(na, nb);
+        const VW oa = wa;
+        const VW ob = wb;
+        if constexpr (G == 4) {
+          P::apply_word_x4(wa, wb, kc);
+        } else {
+          P::apply_word_x8(wa, wb, kc);
+        }
+        for (int j = 0; j < G; ++j) {
+          base[j][ia[j]] = wa[j];
+          base[j][ib[j]] = wb[j];
+        }
+        if constexpr (HasLeaderOutput<P>) {
+          const VW dl = (wa ^ oa) | (wb ^ ob);
+          if ((orfold(dl) & 1) != 0) [[unlikely]] {
+            census_replay_rings<VW>(oa, ob, wa, wb, clk, step0, s);
+          }
+        }
+        if (more) {
+          for (int j = 0; j < G; ++j) {
+            ia[j] = na[j];
+            ib[j] = nb[j];
+          }
+        }
+      }
+    }
+    lanes.store(rng);
+    for (int j = 0; j < live; ++j) {
+      const int r = rg[j];
+      clk[j].steps = step0[j] + k;
+      rngs[r] = rng[j];
+      clks[r] = clk[j];
+    }
+  }
+
   /// Cross-ring lockstep block (the ensemble kernel lane's main engine):
   /// advance `nrings` independent rings `k` interactions each, one vector
   /// lane per ring. Rings never share storage, so — unlike the single-ring
@@ -964,155 +1153,31 @@ struct WordGroupDriver {
   /// the single-ring engines by construction (each ring consumes exactly
   /// its own stream in order; lockstep only changes the interleaving
   /// *between* rings, which share nothing).
+  ///
+  /// Groups are full (G rings) except possibly the last: a trailing partial
+  /// group with at least lockstep_min_rings(n, G) live rings (G/2 or more)
+  /// still runs in lockstep, its idle lanes parked on `idle_words` (one
+  /// n-word slice per idle lane, in-domain words owned by the caller) with
+  /// a copy of lane 0's RNG and clock that are never stored back — an idle
+  /// lane touches no ring. Fewer live rings go one at a time through
+  /// run_block, the faster engine for them.
   template <typename VW>
   [[gnu::always_inline]] static inline void rings_impl(
       std::uint64_t* words_base, std::size_t ring_stride, const int* rings,
       int nrings, int n, std::uint64_t bound, std::uint64_t threshold,
-      Xoshiro256pp* rngs, RingClock* clks, const Consts& kc0,
-      std::uint64_t k) {
-    const Consts kc = kc0;
+      Xoshiro256pp* rngs, RingClock* clks, const Consts& kc,
+      std::uint64_t k, std::uint64_t* idle_words) {
     constexpr int G = kLanesOf<VW>;
+    const int min_live = lockstep_min_rings(n, G);
     int i = 0;
-    for (; i + G <= nrings; i += G) {
-      const int* rg = rings + i;
-      std::uint64_t* base[G];
-      Xoshiro256pp rng[G];
-      RingClock clk[G];
-      std::uint64_t step0[G];
-      for (int j = 0; j < G; ++j) {
-        const int r = rg[j];
-        base[j] = words_base + ring_stride * static_cast<std::size_t>(r);
-        rng[j] = rngs[r];
-        clk[j] = clks[r];
-        step0[j] = clk[j].steps;
-      }
-      XoshiroLanes<VW> lanes;
-      lanes.load(rng);
-      // clk.steps stays frozen during the block (every ring advances
-      // exactly k), so the rare census path takes the running step as an
-      // argument and the hot loop never touches the clocks.
-      if constexpr (kLanesOf<VW> == 8 && kHaveHwGather) {
-        // Fully vectorized lane: endpoints stay SIMD columns end to end.
-        // Each lane's operand address is ring-base + agent*8, so one
-        // absolute-address hardware gather/scatter per operand replaces
-        // the per-lane extract/insert chains (~100 front-end uops/step).
-        // Scatter lanes never collide: one agent per disjoint ring.
-        VW vbase;
-        for (int j = 0; j < G; ++j) {
-          vbase[j] = reinterpret_cast<std::uint64_t>(base[j]);
-        }
-        const VW vn = vbroadcast<VW>(static_cast<std::uint64_t>(n));
-        const VW v1 = vbroadcast<VW>(1);
-        // Vector arc_endpoints (same mapping as core/ring.hpp): m is the
-        // arc's edge id, succ its clockwise neighbour; a reversed arc
-        // (undirected only) swaps initiator and responder.
-        const auto draw_vec = [&](VW& pa, VW& pb) __attribute__((
-            always_inline)) {
-          const VW arcs = lanes.bounded_with_threshold(bound, threshold);
-          if constexpr (P::directed) {
-            pa = arcs;
-            const VW t = arcs + v1;
-            pb = t & ~veq(t, vn);
-          } else {
-            const VW rev = vgt(arcs, vn - v1);  // arc >= n: reversed
-            const VW m = arcs - (vn & rev);
-            const VW t = m + v1;
-            const VW succ = t & ~veq(t, vn);
-            pa = (m & ~rev) | (succ & rev);
-            pb = (succ & ~rev) | (m & rev);
-          }
-        };
-        VW via{};
-        VW vib{};
-        if (k > 0) draw_vec(via, vib);
-        for (std::uint64_t s = 0; s < k; ++s) {
-          const VW aa = vbase + (via << 3);
-          const VW ab = vbase + (vib << 3);
-          VW wa = gather8_addr(aa);
-          VW wb = gather8_addr(ab);
-          // Software pipeline: next step's draw ahead of this step's
-          // kernel.
-          VW nva;
-          VW nvb;
-          const bool more = s + 1 < k;
-          if (more) draw_vec(nva, nvb);
-          const VW oa = wa;
-          const VW ob = wb;
-          P::apply_word_x8(wa, wb, kc);
-          scatter8_addr(aa, wa);
-          scatter8_addr(ab, wb);
-          if constexpr (HasLeaderOutput<P>) {
-            const VW dl = (wa ^ oa) | (wb ^ ob);
-            if ((orfold(dl) & 1) != 0) [[unlikely]] {
-              census_replay_rings<VW>(oa, ob, wa, wb, clk, step0, s);
-            }
-          }
-          if (more) {
-            via = nva;
-            vib = nvb;
-          }
-        }
-      } else {
-        int ia[G] = {};  // zero-init: k == 0 legitimately skips the prologue
-        int ib[G] = {};
-        const auto draw = [&](int* pa, int* pb) __attribute__((
-            always_inline)) {
-          const VW arcs = lanes.bounded_with_threshold(bound, threshold);
-          for (int j = 0; j < G; ++j) {
-            const ArcEndpoints e =
-                arc_endpoints(static_cast<int>(arcs[j]), n);
-            pa[j] = e.initiator;
-            pb[j] = e.responder;
-          }
-        };
-        if (k > 0) draw(ia, ib);
-        for (std::uint64_t s = 0; s < k; ++s) {
-          VW wa;
-          VW wb;
-          for (int j = 0; j < G; ++j) {
-            wa[j] = base[j][ia[j]];
-            wb[j] = base[j][ib[j]];
-          }
-          // Software pipeline: next step's draw ahead of this step's kernel.
-          int na[G];
-          int nb[G];
-          const bool more = s + 1 < k;
-          if (more) draw(na, nb);
-          const VW oa = wa;
-          const VW ob = wb;
-          if constexpr (G == 4) {
-            P::apply_word_x4(wa, wb, kc);
-          } else {
-            P::apply_word_x8(wa, wb, kc);
-          }
-          for (int j = 0; j < G; ++j) {
-            base[j][ia[j]] = wa[j];
-            base[j][ib[j]] = wb[j];
-          }
-          if constexpr (HasLeaderOutput<P>) {
-            const VW dl = (wa ^ oa) | (wb ^ ob);
-            if ((orfold(dl) & 1) != 0) [[unlikely]] {
-              census_replay_rings<VW>(oa, ob, wa, wb, clk, step0, s);
-            }
-          }
-          if (more) {
-            for (int j = 0; j < G; ++j) {
-              ia[j] = na[j];
-              ib[j] = nb[j];
-            }
-          }
-        }
-      }
-      lanes.store(rng);
-      for (int j = 0; j < G; ++j) {
-        const int r = rg[j];
-        clk[j].steps = step0[j] + k;
-        rngs[r] = rng[j];
-        clks[r] = clk[j];
-      }
+    while (nrings - i >= min_live) {
+      const int live = std::min(G, nrings - i);
+      lockstep_group<VW>(words_base, ring_stride, rings + i, live, n, bound,
+                         threshold, rngs, clks, kc, k, idle_words);
+      i += live;
     }
-    // Leftover rings (< G): the single-ring grouped path through its one
-    // entry point, same per-ring trajectory. An inlined run_impl copy here
+    // Leftover rings: the single-ring grouped path through its one entry
+    // point, same per-ring trajectory. An inlined run_impl copy here
     // measured ~0.6x of run_block's speed on a one-ring ensemble (P_PL,
     // n = 1024 and 16384).
     for (; i < nrings; ++i) {
@@ -1123,28 +1188,32 @@ struct WordGroupDriver {
   }
 
  public:
+  /// Most idle lanes a padded group can have (G/2 at the widest G): the
+  /// caller's `idle_words` block holds kMaxIdleLanes * n in-domain words.
+  static constexpr int kMaxIdleLanes = kLanesOf<WordVec8> / 2;
+
   /// Entry point for the cross-ring lockstep block (see rings_impl).
   static void run_rings_block(std::uint64_t* words_base,
                               std::size_t ring_stride, const int* rings,
                               int nrings, int n, std::uint64_t bound,
                               std::uint64_t threshold, Xoshiro256pp* rngs,
                               RingClock* clks, const Consts& kc,
-                              std::uint64_t k) {
+                              std::uint64_t k, std::uint64_t* idle_words) {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
     const int isa = isa_level();
     if (isa == 2) {
       rings_avx512(words_base, ring_stride, rings, nrings, n, bound,
-                   threshold, rngs, clks, kc, k);
+                   threshold, rngs, clks, kc, k, idle_words);
       return;
     }
     if (isa == 1) {
       rings_avx2(words_base, ring_stride, rings, nrings, n, bound, threshold,
-                 rngs, clks, kc, k);
+                 rngs, clks, kc, k, idle_words);
       return;
     }
 #endif
     rings_impl<WordVec>(words_base, ring_stride, rings, nrings, n, bound,
-                        threshold, rngs, clks, kc, k);
+                        threshold, rngs, clks, kc, k, idle_words);
   }
 
  private:
@@ -1153,17 +1222,17 @@ struct WordGroupDriver {
   rings_avx512(std::uint64_t* words_base, std::size_t ring_stride,
                const int* rings, int nrings, int n, std::uint64_t bound,
                std::uint64_t threshold, Xoshiro256pp* rngs, RingClock* clks,
-               const Consts& kc, std::uint64_t k) {
+               const Consts& kc, std::uint64_t k, std::uint64_t* idle_words) {
     rings_impl<WordVec8>(words_base, ring_stride, rings, nrings, n, bound,
-                         threshold, rngs, clks, kc, k);
+                         threshold, rngs, clks, kc, k, idle_words);
   }
   __attribute__((target("avx2"))) static void rings_avx2(
       std::uint64_t* words_base, std::size_t ring_stride, const int* rings,
       int nrings, int n, std::uint64_t bound, std::uint64_t threshold,
       Xoshiro256pp* rngs, RingClock* clks, const Consts& kc,
-      std::uint64_t k) {
+      std::uint64_t k, std::uint64_t* idle_words) {
     rings_impl<WordVec>(words_base, ring_stride, rings, nrings, n, bound,
-                        threshold, rngs, clks, kc, k);
+                        threshold, rngs, clks, kc, k, idle_words);
   }
   __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl"))) static void
   run_avx512(std::uint64_t* words, int n, std::uint64_t bound,
@@ -1383,7 +1452,7 @@ class Runner {
     if (check_every == 0)
       check_every = static_cast<std::uint64_t>(params_.n);
     if (pred(agents(), params_)) return clk_.steps;
-    const std::uint64_t deadline = clk_.steps + max_steps;
+    const std::uint64_t deadline = detail::run_deadline(clk_.steps, max_steps);
     while (clk_.steps < deadline) {
       const std::uint64_t block =
           std::min<std::uint64_t>(check_every, deadline - clk_.steps);

@@ -1,15 +1,26 @@
 #include "core/statistics.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace ppsim::core {
 
 namespace {
+
+/// Release-build shape check of a fit's inputs: a y shorter than x would
+/// otherwise be read past its end.
+void require_paired(std::span<const double> x, std::span<const double> y,
+                    const char* fit) {
+  if (x.size() != y.size())
+    throw std::invalid_argument(std::string(fit) + ": x has " +
+                                std::to_string(x.size()) + " points, y has " +
+                                std::to_string(y.size()));
+}
 
 double interp_percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -59,7 +70,7 @@ double percentile(std::span<const double> sample, double q) {
 }
 
 LinearFit fit_linear(std::span<const double> x, std::span<const double> y) {
-  assert(x.size() == y.size());
+  require_paired(x, y, "fit_linear");
   LinearFit f;
   const auto n = static_cast<double>(x.size());
   if (x.size() < 2) return f;
@@ -86,7 +97,7 @@ LinearFit fit_linear(std::span<const double> x, std::span<const double> y) {
 }
 
 PowerFit fit_power(std::span<const double> x, std::span<const double> y) {
-  assert(x.size() == y.size());
+  require_paired(x, y, "fit_power");
   PowerFit p;
   std::vector<double> lx, ly;
   lx.reserve(x.size());

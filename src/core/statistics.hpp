@@ -31,7 +31,9 @@ struct Summary {
 /// sorted (a sorted copy is made).
 [[nodiscard]] double percentile(std::span<const double> sample, double q);
 
-/// Simple linear least squares y = a + b*x. Returns {a, b, r2}.
+/// Simple linear least squares y = a + b*x. Returns {a, b, r2}. Throws
+/// std::invalid_argument, in every build type, unless x and y have the same
+/// length (as does fit_power).
 struct LinearFit {
   double intercept = 0.0;
   double slope = 0.0;

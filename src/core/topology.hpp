@@ -132,6 +132,8 @@ class LineTopology {
   }
   [[nodiscard]] constexpr ArcEndpoints endpoints(int arc) const noexcept {
     const int f = forward_arcs();
+    // Arcs come from a bounded draw over arc_count or a range-checked
+    // public entry (Runner::apply_arc). invariant: arc is in [0, 2f).
     assert(arc >= 0 && arc < 2 * f);
     if (arc < f) return {arc, arc + 1};
     const int resp = arc - f;
@@ -181,6 +183,8 @@ class CliqueTopology {
   }
   [[nodiscard]] constexpr ArcEndpoints endpoints(int arc) const noexcept {
     const int f = forward_arcs();
+    // Arcs come from a bounded draw over arc_count or a range-checked
+    // public entry (Runner::apply_arc). invariant: arc is in [0, 2f).
     assert(arc >= 0 && arc < 2 * f);
     const bool reversed = arc >= f;
     const ArcEndpoints e = decode(reversed ? arc - f : arc);
@@ -191,7 +195,7 @@ class CliqueTopology {
   /// (g = 0 is the identity). n! must fit in 64 bits, so n <= 20 — far above
   /// any checker-reachable population.
   [[nodiscard]] std::uint64_t aut_count(bool /*directed*/) const noexcept {
-    assert(n_ <= 20);
+    assert(n_ <= 20);  // invariant: checker populations are tiny (see above)
     std::uint64_t f = 1;
     for (int i = 2; i <= n_; ++i) f *= static_cast<std::uint64_t>(i);
     return f;
@@ -201,6 +205,8 @@ class CliqueTopology {
   }
   [[nodiscard]] int aut_arc(std::uint64_t g, int arc) const {
     const int f = forward_arcs();
+    // Arcs come from a bounded draw over arc_count or a range-checked
+    // public entry (Runner::apply_arc). invariant: arc is in [0, 2f).
     assert(arc >= 0 && arc < 2 * f);
     const bool reversed = arc >= f;
     const ArcEndpoints e = decode(reversed ? arc - f : arc);
@@ -236,7 +242,7 @@ class CliqueTopology {
       const std::uint64_t base = fact[static_cast<std::size_t>(i)];
       const auto d = static_cast<std::size_t>(g / base);
       g %= base;
-      assert(d < pool.size());
+      assert(d < pool.size());  // invariant: g < n! (aut_count)
       perm.push_back(pool[d]);
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(d));
     }
@@ -267,6 +273,8 @@ class TreeTopology {
   }
   [[nodiscard]] constexpr ArcEndpoints endpoints(int arc) const noexcept {
     const int f = forward_arcs();
+    // Arcs come from a bounded draw over arc_count or a range-checked
+    // public entry (Runner::apply_arc). invariant: arc is in [0, 2f).
     assert(arc >= 0 && arc < 2 * f);
     if (arc < f) return {arc / 2, arc + 1};  // parent(arc+1) = arc/2
     const int resp = arc - f;

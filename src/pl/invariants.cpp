@@ -1,7 +1,6 @@
 #include "pl/invariants.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 
 #include "core/ring.hpp"
@@ -236,9 +235,92 @@ struct CoreVerdict {
   return v;
 }
 
-/// The ring seen from its first leader k: offset o is agent k + o.
-struct LeaderWalk {
+// The agent views safe_core walks. An agent exposes exactly the reads S_PL
+// makes, with the scalar struct's semantics for out-of-domain values
+// (leader == 2 is not a leader, b == 2 weighs 2 in a segment ID).
+
+/// One agent of a PlState configuration (is_safe, check_safe).
+struct StateAgent {
+  const PlState& s;
+  [[nodiscard]] bool leader() const noexcept { return s.leader == 1; }
+  [[nodiscard]] unsigned b() const noexcept { return s.b; }
+  [[nodiscard]] bool last() const noexcept { return s.last == 1; }
+  [[nodiscard]] bool shield() const noexcept { return s.shield == 1; }
+  [[nodiscard]] bool signal() const noexcept { return s.signal_b != 0; }
+  [[nodiscard]] bool live_bullet() const noexcept {
+    return s.bullet == common::kLiveBullet;
+  }
+  [[nodiscard]] int dist() const noexcept { return s.dist; }
+  [[nodiscard]] const Token& token_b() const noexcept { return s.token_b; }
+  [[nodiscard]] const Token& token_w() const noexcept { return s.token_w; }
+  [[nodiscard]] bool any_token() const noexcept {
+    return s.token_b.exists() || s.token_w.exists();
+  }
+};
+
+struct StateAgents {
   Config c;
+  [[nodiscard]] int size() const noexcept {
+    return static_cast<int>(c.size());
+  }
+  [[nodiscard]] StateAgent operator[](int i) const noexcept {
+    return {c[static_cast<std::size_t>(i)]};
+  }
+};
+
+/// One agent of the packed mirror (is_safe_words): every read straight off
+/// the word's bits, the same values unpack_word would produce.
+struct WordAgent {
+  std::uint64_t w;
+  const PackedLayout& l;
+  [[nodiscard]] bool leader() const noexcept { return (w & 1) != 0; }
+  [[nodiscard]] unsigned b() const noexcept {
+    return static_cast<unsigned>((w >> 1) & 1);
+  }
+  [[nodiscard]] bool last() const noexcept { return ((w >> 2) & 1) != 0; }
+  [[nodiscard]] bool shield() const noexcept { return ((w >> 3) & 1) != 0; }
+  [[nodiscard]] bool signal() const noexcept { return ((w >> 4) & 1) != 0; }
+  [[nodiscard]] bool live_bullet() const noexcept {
+    return ((w >> 5) & 3) == static_cast<std::uint64_t>(common::kLiveBullet);
+  }
+  [[nodiscard]] int dist() const noexcept {
+    return static_cast<int>((w >> l.dist_shift) & l.dist_mask);
+  }
+  [[nodiscard]] Token token_b() const noexcept { return token(l.tokb_shift); }
+  [[nodiscard]] Token token_w() const noexcept { return token(l.tokw_shift); }
+  [[nodiscard]] bool any_token() const noexcept {
+    // A token exists iff its biased position is not bot's psi - 1.
+    const auto bot = static_cast<std::uint64_t>(l.psi - 1);
+    return ((w >> l.tokb_shift) & l.dist_mask) != bot ||
+           ((w >> l.tokw_shift) & l.dist_mask) != bot;
+  }
+
+ private:
+  [[nodiscard]] Token token(unsigned shift) const noexcept {
+    const std::uint64_t f = w >> shift;
+    return Token{
+        static_cast<std::int8_t>(static_cast<int>(f & l.dist_mask) -
+                                 (l.psi - 1)),
+        static_cast<std::uint8_t>((f >> l.dist_bits) & 1),
+        static_cast<std::uint8_t>((f >> (l.dist_bits + 1)) & 1)};
+  }
+};
+
+struct WordAgents {
+  std::span<const std::uint64_t> words;
+  const PackedLayout& l;
+  [[nodiscard]] int size() const noexcept {
+    return static_cast<int>(words.size());
+  }
+  [[nodiscard]] WordAgent operator[](int i) const noexcept {
+    return {words[static_cast<std::size_t>(i)], l};
+  }
+};
+
+/// The ring seen from its first leader k: offset o is agent k + o.
+template <typename View>
+struct LeaderWalk {
+  const View& v;
   int n = 0;
   int k = 0;
   int psi = 0;
@@ -248,9 +330,7 @@ struct LeaderWalk {
     const int i = k + o;
     return i >= n ? i - n : i;
   }
-  [[nodiscard]] const PlState& at(int o) const noexcept {
-    return c[static_cast<std::size_t>(index(o))];
-  }
+  [[nodiscard]] auto at(int o) const noexcept { return v[index(o)]; }
 };
 
 /// token_correct (Def. 4.3) of the token `t` of colour offset `d` hosted at
@@ -261,12 +341,13 @@ struct LeaderWalk {
 /// reduce to: the pair start, target minus tau, is one of those two
 /// segment borders and has the token's colour (even segment index for
 /// black). Same verdict as token_correct, in O(1).
-[[nodiscard]] bool token_ok(const LeaderWalk& w, int o, const Token& t,
+template <typename View>
+[[nodiscard]] bool token_ok(const LeaderWalk<View>& w, int o, const Token& t,
                             int d, int seg, int seg_index, int j_cur,
                             int j_prev) noexcept {
   const int psi = w.psi;
   const int pos = t.pos;
-  const int tau = wrap(static_cast<int>(w.at(o).dist) + pos + d, 2 * psi);
+  const int tau = wrap(w.at(o).dist() + pos + d, 2 * psi);
   const bool right = pos > 0;
   const int start = wrap(o + pos, w.n) - tau;
   const bool in_seg = start == seg;
@@ -277,7 +358,7 @@ struct LeaderWalk {
   if (!ok) return false;
   const int x = right ? tau - psi : tau - 1;  // the round
   const int j = in_seg ? j_cur : j_prev;
-  const int b_x = w.at(start + x).b;
+  const auto b_x = static_cast<int>(w.at(start + x).b());
   // Round x carries b_x XOR [x <= j] and the carry [x < j] (token_correct).
   return static_cast<int>(t.carry) == (x < j ? 1 : 0) &&
          static_cast<int>(t.value) == (b_x ^ (x <= j ? 1 : 0));
@@ -285,18 +366,19 @@ struct LeaderWalk {
 
 /// The first agent of a segment that fails the leader, layout or bullet
 /// condition, given `signal` = a bullet-absence signal lies before it.
-[[gnu::cold]] CoreVerdict first_agent_failure(const LeaderWalk& w, int seg,
-                                              int len, bool in_last,
+template <typename View>
+[[gnu::cold]] CoreVerdict first_agent_failure(const LeaderWalk<View>& w,
+                                              int seg, int len, bool in_last,
                                               int base_dist,
                                               bool signal) noexcept {
   for (int q = 0; q < len; ++q) {
     const int o = seg + q;
-    const PlState& s = w.at(o);
-    if (o > 0 && s.leader == 1) return {Failure::kLeaderCount, w.index(o)};
-    if (static_cast<int>(s.dist) != base_dist + q || (s.last == 1) != in_last)
+    const auto a = w.at(o);
+    if (o > 0 && a.leader()) return {Failure::kLeaderCount, w.index(o)};
+    if (a.dist() != base_dist + q || a.last() != in_last)
       return {Failure::kLayout, w.index(o)};
-    signal = signal || s.signal_b != 0;
-    if (s.bullet == common::kLiveBullet && (signal || !w.shielded))
+    signal = signal || a.signal();
+    if (a.live_bullet() && (signal || !w.shielded))
       return {Failure::kBullet, w.index(o)};
   }
   return {};
@@ -314,13 +396,18 @@ struct LeaderWalk {
 /// each segment's first-zero bit computed once. Same verdict as the
 /// condition-by-condition composition (the differential test under
 /// tests/pl/ pins it); the reported failure is the first in that order.
-[[nodiscard]] CoreVerdict safe_core(Config c, const PlParams& p) noexcept {
-  const int n = static_cast<int>(c.size());
+///
+/// One walk for every representation: `View` is StateAgents (the scalar
+/// structs) or WordAgents (the packed mirror), which read the same field
+/// values, so is_safe_words(pack(c)) == is_safe(c) on every in-domain c.
+template <typename View>
+[[nodiscard]] CoreVerdict safe_core(const View& v, const PlParams& p) noexcept {
+  const int n = v.size();
   int k = 0;
-  while (k < n && c[static_cast<std::size_t>(k)].leader != 1) ++k;
+  while (k < n && !v[k].leader()) ++k;
   if (k == n) return {Failure::kLeaderCount, -1};
   const int psi = p.psi;
-  const LeaderWalk w{c, n, k, psi, c[static_cast<std::size_t>(k)].shield == 1};
+  const LeaderWalk<View> w{v, n, k, psi, v[k].shield()};
   const int last_from = psi * (p.zeta() - 1);
   const auto id_mask = static_cast<unsigned long long>(p.id_modulus()) - 1;
 
@@ -337,14 +424,14 @@ struct LeaderWalk {
     unsigned long long id = 0;  // sum of b_j * 2^j, as segment_id sums it
     int i = w.index(seg);
     for (int q = 0; q < len; ++q) {
-      const PlState& a = c[static_cast<std::size_t>(i)];
-      bad |= (a.leader == 1) & (seg + q != 0);
-      bad |= static_cast<int>(a.dist) != base_dist + q;
-      bad |= (a.last == 1) != in_last;
-      signal |= a.signal_b != 0;
-      bad |= (a.bullet == common::kLiveBullet) & (signal | !w.shielded);
-      id += static_cast<unsigned long long>(a.b) << q;
-      tok |= a.token_b.exists() | a.token_w.exists();
+      const auto a = v[i];
+      bad |= a.leader() & (seg + q != 0);
+      bad |= a.dist() != base_dist + q;
+      bad |= a.last() != in_last;
+      signal |= a.signal();
+      bad |= a.live_bullet() & (signal | !w.shielded);
+      id += static_cast<unsigned long long>(a.b()) << q;
+      tok |= a.any_token();
       if (++i == n) i = 0;
     }
     if (bad)
@@ -352,7 +439,7 @@ struct LeaderWalk {
                                  signal_before);
     if (in_last) {
       for (int q = 0; tok && q < len; ++q)
-        if (w.at(seg + q).token_b.exists() || w.at(seg + q).token_w.exists())
+        if (w.at(seg + q).any_token())
           return {Failure::kLastToken, w.index(seg + q)};
     } else {
       // Consecutive IDs for segments 1..zeta-2 (pairs [0, zeta-3]).
@@ -368,18 +455,18 @@ struct LeaderWalk {
   for (int seg = 0, s = 0; seg < last_from; seg += psi, ++s) {
     int j = psi;  // first-zero bit of this segment (psi if none)
     for (int q = 0; q < psi; ++q) {
-      if (w.at(seg + q).b == 0) {
+      if (w.at(seg + q).b() == 0) {
         j = q;
         break;
       }
     }
     for (int q = 0; q < psi; ++q) {
-      const PlState& a = w.at(seg + q);
-      if (a.token_b.exists() &&
-          !token_ok(w, seg + q, a.token_b, 0, seg, s, j, j_prev))
+      const auto a = w.at(seg + q);
+      const Token tb = a.token_b();
+      if (tb.exists() && !token_ok(w, seg + q, tb, 0, seg, s, j, j_prev))
         return {Failure::kBlackToken, w.index(seg + q)};
-      if (a.token_w.exists() &&
-          !token_ok(w, seg + q, a.token_w, psi, seg, s, j, j_prev))
+      const Token tw = a.token_w();
+      if (tw.exists() && !token_ok(w, seg + q, tw, psi, seg, s, j, j_prev))
         return {Failure::kWhiteToken, w.index(seg + q)};
     }
     j_prev = j;
@@ -390,7 +477,7 @@ struct LeaderWalk {
 }  // namespace
 
 SafetyVerdict check_safe(Config c, const PlParams& p) {
-  const CoreVerdict v = safe_core(c, p);
+  const CoreVerdict v = safe_core(StateAgents{c}, p);
   const std::string at = " at " + std::to_string(v.agent);
   switch (v.failure) {
     case Failure::kNone:
@@ -415,7 +502,17 @@ SafetyVerdict check_safe(Config c, const PlParams& p) {
 }
 
 bool is_safe(Config c, const PlParams& p) {
-  return safe_core(c, p).failure == Failure::kNone;
+  return safe_core(StateAgents{c}, p).failure == Failure::kNone;
+}
+
+bool is_safe_words(std::span<const std::uint64_t> words,
+                   const PackedLayout& l, const PlParams& p) {
+  return safe_core(WordAgents{words, l}, p).failure == Failure::kNone;
+}
+
+bool PlProtocol::is_safe_words(std::span<const std::uint64_t> words,
+                               const WordLayout& l, const Params& p) {
+  return pl::is_safe_words(words, l, p);
 }
 
 }  // namespace ppsim::pl

@@ -10,10 +10,12 @@
 // protocol itself: convergence time is *defined* as first entry into S_PL.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "pl/packed_state.hpp"
 #include "pl/params.hpp"
 #include "pl/protocol.hpp"
 #include "pl/state.hpp"
@@ -74,16 +76,25 @@ struct SegmentView {
 [[nodiscard]] bool in_cdl_layout(Config c, const PlParams& p, int leader_pos);
 
 /// Membership in the safe set S_PL (Def. 4.6) with a human-readable reason
-/// on failure: the violated condition and the agent index. Both share one
-/// allocation-free walk from the leader, the campaign's recovery predicate;
-/// is_safe builds no string. Same verdict as composing in_cdl_layout,
-/// live_bullet_peaceful, token_correct and the segment-ID chain.
+/// on failure: the violated condition and the agent index. check_safe,
+/// is_safe and is_safe_words share one allocation-free walk from the
+/// leader, templated over how an agent is read; is_safe builds no string.
+/// Same verdict as composing in_cdl_layout, live_bullet_peaceful,
+/// token_correct and the segment-ID chain.
 struct SafetyVerdict {
   bool safe = false;
   std::string reason;
 };
 [[nodiscard]] SafetyVerdict check_safe(Config c, const PlParams& p);
 [[nodiscard]] bool is_safe(Config c, const PlParams& p);
+
+/// is_safe on the packed mirror (pl/packed_state.hpp): the same walk, every
+/// field read straight off the words' bits, so
+/// is_safe_words(pack_word(c), l, p) == is_safe(c, p) for every in-domain
+/// configuration c. The campaign's word lane checks recovery on its u64
+/// mirror with it, without unpacking (PlProtocol::is_safe_words).
+[[nodiscard]] bool is_safe_words(std::span<const std::uint64_t> words,
+                                 const PackedLayout& l, const PlParams& p);
 
 /// Predicates in the shape core::Runner::run_until expects.
 struct SafePredicate {

@@ -12,6 +12,8 @@
 // unchanged.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/elimination.hpp"
@@ -255,11 +257,10 @@ struct PlProtocol {
   // The whole variable block bit-sliced into one uint64_t with a
   // parameter-derived layout (pl/packed_state.hpp) and a branch-lean
   // transition kernel bit-identical to apply() on in-domain states
-  // (pl/packed_protocol.hpp). Runner::run and the EnsembleRunner kernel
-  // lane dispatch to this automatically when the layout fits 64 bits;
-  // out-of-domain states (fault injection beyond the declared domains)
-  // fail the pack/unpack round trip and drop the engine back to the
-  // scalar path.
+  // (pl/packed_protocol.hpp). The EnsembleRunner kernel lane dispatches
+  // to this automatically when the layout fits 64 bits; out-of-domain
+  // states (fault injection beyond the declared domains) fail the
+  // pack/unpack round trip and drop the ensemble back to the generic path.
   using WordLayout = PackedLayout;
   using WordKernelConsts = PlKernelConsts;
 
@@ -303,6 +304,13 @@ struct PlProtocol {
                                         const WordLayout& l) noexcept {
     return pl::word_leader(w, l);
   }
+  /// Membership in the safe set S_PL read off one ring's packed words
+  /// (core::HasWordSafeSet): EnsembleRunner's word lane checks a recovery
+  /// declared as the safe set here, without unpacking its mirror. Defined
+  /// in pl/invariants.cpp beside pl::is_safe_words, which it calls.
+  [[nodiscard]] static bool is_safe_words(std::span<const std::uint64_t> words,
+                                          const WordLayout& l,
+                                          const Params& p);
 
   /// Human-readable state rendering (differential-fuzzer divergence reports;
   /// same customization point the checker adapters expose for decoded

@@ -117,8 +117,11 @@ struct CanonicalScratch {
 inline void canonicalize(std::vector<std::uint16_t>& d,
                          const SymmetryGroup& g, CanonicalScratch& scratch) {
   const std::size_t n = d.size();
+  // invariant: the quotient builds g from the n of its digit vectors,
   assert(static_cast<int>(n) == g.n);
+  // invariant: with a rotation period that divides n,
   assert(g.rotation_period >= 1 && g.n % g.rotation_period == 0);
+  // invariant: and reflections only over the full rotation group.
   assert(!g.reflection || g.rotation_period == 1);
   if (n <= 1) return;
   const std::size_t k =

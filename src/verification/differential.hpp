@@ -26,9 +26,12 @@
 //                                rings advanced together through run(), so
 //                                ring 0 is carried by the cross-ring
 //                                grouped driver and its lane-parallel
-//                                vector RNG — certifying the column-r ==
-//                                scalar-stream-r RNG contract against
-//                                every scalar lane above
+//                                vector RNG inside a padded partial group
+//                                (idle lanes on scratch words) where one
+//                                runs at this n —
+//                                certifying the column-r ==
+//                                scalar-stream-r RNG contract and the
+//                                padding against every scalar lane above
 //
 // The harness advances all lanes in blocks of `check_every` interactions
 // and, at every checkpoint, compares full configurations (operator==),
@@ -207,16 +210,21 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
   core::EnsembleRunner<P, Topo> lane_d(params, 1);
   lane_d.add_ring(initial, cfg.seed);
   // Lane G: ring 0 shares the lanes' seed and initial configuration; the
-  // decoys exist only to fill a full SIMD group so ring 0 is advanced as a
-  // vector column of the cross-ring driver (word-kernel protocols only —
-  // for everything else run() degenerates to lane C's per-ring loop).
+  // decoys fill the fewest of the cross-ring driver's G SIMD lanes that
+  // still run in lockstep at this n, so ring 0 is advanced as a vector
+  // column of a padded partial group, next to idle lanes parked on scratch
+  // words — or of a full group where no partial one runs in lockstep
+  // (word-kernel protocols only — for everything else run() degenerates
+  // to lane C's per-ring loop).
   constexpr bool kHaveLaneG = core::EnsembleRunner<P, Topo>::kWordable;
-  constexpr int kLockstepRings = 8;  // >= widest cross-ring group (x8)
   std::optional<core::EnsembleRunner<P, Topo>> lane_g;
   if constexpr (kHaveLaneG) {
-    lane_g.emplace(params, kLockstepRings);
+    using Driver = core::WordGroupDriver<P>;
+    const int lockstep_rings =
+        Driver::lockstep_min_rings(n, Driver::lanes());
+    lane_g.emplace(params, lockstep_rings);
     lane_g->add_ring(initial, cfg.seed);
-    for (int r = 1; r < kLockstepRings; ++r)
+    for (int r = 1; r < lockstep_rings; ++r)
       lane_g->add_ring(initial,
                        core::derive_seed(cfg.seed,
                                          core::streams::kLockstepDecoy,

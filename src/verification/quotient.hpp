@@ -313,7 +313,8 @@ class QuotientChecker {
             succ_raw.push_back(raw);
             const std::uint64_t sid = canon(raw, digits, scratch);
             const auto it = dense.find(sid);
-            assert(it != dense.end());  // successors of an SCC are interned
+            // invariant: successors of an SCC are interned
+            assert(it != dense.end());
             bottom = comp[it->second] == cid;
           }
           if (!bottom) break;
@@ -430,7 +431,7 @@ class QuotientChecker {
         fixes = digits[static_cast<std::size_t>(perm[i])] == digits[i];
       stab += fixes ? 1 : 0;
     }
-    assert(stab > 0);  // the identity always fixes
+    assert(stab > 0);  // invariant: the identity always fixes
     return static_cast<std::uint64_t>(perms_.size()) / stab;
   }
 
@@ -457,7 +458,8 @@ class QuotientChecker {
         perm[static_cast<std::size_t>(v)] = topo_.aut_agent(g, v);
       if (perm_valid(perm)) perms_.push_back(perm);
     }
-    assert(!perms_.empty());  // g = 0 is the identity, always valid
+    // invariant: g = 0 is the identity, always valid
+    assert(!perms_.empty());
   }
 
   [[nodiscard]] std::vector<int> identity_perm() const {

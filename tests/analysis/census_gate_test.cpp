@@ -1,9 +1,11 @@
-// The census gate of the campaign path
-// (ScenarioSpec::recovered_implies_unique_leader): the declaration holds
-// for every study protocol, the gated ensemble driver reproduces the
-// ungated per-trial reference trial for trial on the word, LUT and generic
-// lanes, hand-built specs stay ungated, and the declaration is refused
-// for a protocol without a leader census.
+// The safe-set declaration of the campaign path
+// (ScenarioSpec::recovered_is_safe_set): the census gate it implies holds
+// for every study protocol, the declared ensemble driver (census-gated,
+// and checked on the packed words on P_PL's word lane) reproduces the
+// undeclared State-checked shard and the per-trial reference trial for
+// trial on the word, LUT and generic lanes, hand-built specs reach their
+// callback at every check, and the declaration is refused for a protocol
+// without a leader census.
 #include "analysis/scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -37,7 +39,7 @@ int census(std::span<const typename P::State> c,
 /// added at every other agent, with the leader removed, and on random
 /// configurations.
 template <typename P>
-void expect_recovered_implies_unique_leader(const typename P::Params& p) {
+void expect_safe_set_implies_unique_leader(const typename P::Params& p) {
   core::Xoshiro256pp rng(99);
   for (int rep = 0; rep < 4; ++rep) {
     auto c = Adversary<P>::safe_config(p, rng);
@@ -64,31 +66,32 @@ void expect_recovered_implies_unique_leader(const typename P::Params& p) {
     }
   }
   const auto spec = make_recovery_scenario<P>("burst", burst_schedule(1), {});
-  EXPECT_TRUE(spec.recovered_implies_unique_leader);
+  EXPECT_TRUE(spec.recovered_is_safe_set);
 }
 
 TEST(CensusGate, RecoveredImpliesUniqueLeaderForEveryStudyProtocol) {
-  expect_recovered_implies_unique_leader<pl::PlProtocol>(
+  expect_safe_set_implies_unique_leader<pl::PlProtocol>(
       pl::PlParams::make(16, 4));
-  expect_recovered_implies_unique_leader<baselines::FischerJiang>(
+  expect_safe_set_implies_unique_leader<baselines::FischerJiang>(
       baselines::FjParams::make(12));
-  expect_recovered_implies_unique_leader<baselines::Modk>(
+  expect_safe_set_implies_unique_leader<baselines::Modk>(
       baselines::ModkParams::make(13, 2));
-  expect_recovered_implies_unique_leader<baselines::Yokota28>(
+  expect_safe_set_implies_unique_leader<baselines::Yokota28>(
       baselines::Y28Params::make(10));
 }
 
-/// ensemble_recovery_shard with the gate against recovery_trial (which never
-/// gates), and against the same shard with the gate off.
+/// ensemble_recovery_shard with the safe-set declaration against
+/// recovery_trial (which always calls `recovered` on States), and against
+/// the same shard without the declaration (State-checked at every block).
 template <typename P>
 void expect_shard_matches_reference(const typename P::Params& p,
                                     ScenarioSpec<P> spec) {
-  ASSERT_TRUE(spec.recovered_implies_unique_leader);
+  ASSERT_TRUE(spec.recovered_is_safe_set);
   const auto count = static_cast<std::size_t>(spec.plan.trials);
   std::vector<RecoveryTrial> gated(count), ungated(count);
   detail::ensemble_recovery_shard<P>(p, spec, 0, count, gated);
   auto plain = spec;
-  plain.recovered_implies_unique_leader = false;
+  plain.recovered_is_safe_set = false;
   detail::ensemble_recovery_shard<P>(p, plain, 0, count, ungated);
   int healed = 0;
   for (std::size_t t = 0; t < count; ++t) {
@@ -113,19 +116,23 @@ TrialPlan small_plan(std::int64_t trials, std::uint64_t tag) {
   return plan;
 }
 
-TEST(CensusGate, GatedShardMatchesReferenceOnWordLane) {
-  for (int n : {16, 64}) {
+TEST(CensusGate, WordCheckedShardMatchesReferenceOnWordLane) {
+  // The declared shard checks S_PL on the packed words (pl::is_safe_words);
+  // the undeclared one unpacks and calls `recovered` at every block. Trial
+  // counts leave a padded partial lockstep group at every n.
+  for (int n : {16, 64, 256}) {
     const auto p = pl::PlParams::make(n, 4);
+    const std::int64_t trials = n == 16 ? 13 : 6;
     for (int faults : {1, n / 4}) {
       expect_shard_matches_reference<pl::PlProtocol>(
           p, make_recovery_scenario<pl::PlProtocol>(
                  "burst", burst_schedule(faults),
-                 small_plan(n == 16 ? 12 : 6, campaign_tag(1, n, faults))));
+                 small_plan(trials, campaign_tag(1, n, faults))));
       expect_shard_matches_reference<pl::PlProtocol>(
           p, make_recovery_scenario<pl::PlProtocol>(
                  "storm",
                  storm_schedule(faults, static_cast<std::uint64_t>(n)),
-                 small_plan(n == 16 ? 12 : 6, campaign_tag(2, n, faults))));
+                 small_plan(trials, campaign_tag(2, n, faults))));
     }
   }
 }
@@ -153,44 +160,70 @@ TEST(CensusGate, GatedShardMatchesReferenceOnBaselines) {
           "burst", burst_schedule(2), small_plan(8, 43)));
 }
 
+/// Calls of `recovered` by `trials` per-trial reference runs and by one
+/// ensemble shard of the same spec.
+struct CallCounts {
+  std::int64_t reference = 0;
+  std::int64_t shard = 0;
+};
+
+CallCounts count_recovered_calls(const pl::PlParams& p,
+                                 ScenarioSpec<pl::PlProtocol> spec) {
+  std::int64_t calls = 0;
+  spec.recovered = [&calls, f = spec.recovered](
+                       std::span<const pl::PlState> c,
+                       const pl::PlParams& pp) {
+    ++calls;
+    return f(c, pp);
+  };
+  const auto trials = static_cast<std::size_t>(spec.plan.trials);
+  for (std::uint64_t t = 0; t < trials; ++t)
+    (void)detail::recovery_trial<pl::PlProtocol>(p, spec, t);
+  CallCounts out;
+  out.reference = calls;
+  std::vector<RecoveryTrial> shard(trials);
+  calls = 0;
+  detail::ensemble_recovery_shard<pl::PlProtocol>(p, spec, 0, trials, shard);
+  out.shard = calls;
+  return out;
+}
+
 TEST(CensusGate, HandBuiltSpecCallsRecoveredAtEveryCheck) {
   // Same spec as make_recovery_scenario but hand-built: the declaration
   // defaults to false, so the ensemble must call `recovered` exactly as
-  // often as the per-trial Runner::run_until path does.
+  // often as the per-trial Runner::run_until path does, on the word lane
+  // and on the generic lane alike.
   const auto p = pl::PlParams::make(16, 4);
   const auto base = make_recovery_scenario<pl::PlProtocol>(
       "burst", burst_schedule(4), small_plan(8, campaign_tag(4, 16, 4)));
-  std::int64_t calls = 0;
   ScenarioSpec<pl::PlProtocol> spec;
   spec.name = base.name;
   spec.initial = base.initial;
   spec.schedule = base.schedule;
   spec.inject = base.inject;
   spec.plan = base.plan;
-  spec.recovered = [&calls, f = base.recovered](
-                       std::span<const pl::PlState> c,
-                       const pl::PlParams& pp) {
-    ++calls;
-    return f(c, pp);
-  };
-  ASSERT_FALSE(spec.recovered_implies_unique_leader);
+  spec.recovered = base.recovered;
+  ASSERT_FALSE(spec.recovered_is_safe_set);
+  ScenarioSpec<pl::PlProtocol> lossy = spec;
+  lossy.sched_faults.loss_p = 0.1;  // forces the generic ensemble lane
 
-  for (std::uint64_t t = 0; t < 8; ++t)
-    (void)detail::recovery_trial<pl::PlProtocol>(p, spec, t);
-  const std::int64_t reference_calls = calls;
+  const CallCounts word = count_recovered_calls(p, spec);
+  EXPECT_EQ(word.shard, word.reference);
+  EXPECT_GT(word.shard, 0);
+  const CallCounts generic = count_recovered_calls(p, lossy);
+  EXPECT_EQ(generic.shard, generic.reference);
 
-  std::vector<RecoveryTrial> out(8);
-  calls = 0;
-  detail::ensemble_recovery_shard<pl::PlProtocol>(p, spec, 0, 8, out);
-  EXPECT_EQ(calls, reference_calls);
-
-  // Declared, the same shard skips every check on a ring whose census is
-  // not 1 (a 4-agent burst leaves several leaders for a while).
-  spec.recovered_implies_unique_leader = true;
-  calls = 0;
-  detail::ensemble_recovery_shard<pl::PlProtocol>(p, spec, 0, 8, out);
-  EXPECT_LT(calls, reference_calls);
-  EXPECT_GT(calls, 0);
+  // Declared on the word lane, every check reads the packed words:
+  // `recovered` is never called.
+  spec.recovered_is_safe_set = true;
+  EXPECT_EQ(count_recovered_calls(p, spec).shard, 0);
+  // Declared on the generic lane, only the census gate applies: every
+  // check of a ring whose census is not 1 is skipped (a 4-agent burst
+  // leaves several leaders for a while), the others call `recovered`.
+  lossy.recovered_is_safe_set = true;
+  const CallCounts gated = count_recovered_calls(p, lossy);
+  EXPECT_LT(gated.shard, generic.reference);
+  EXPECT_GT(gated.shard, 0);
 }
 
 TEST(CensusGate, DeclarationRefusedWithoutLeaderCensus) {
@@ -212,7 +245,7 @@ TEST(CensusGate, DeclarationRefusedWithoutLeaderCensus) {
   const TokenMergeModel::Params p{6};
   EXPECT_NO_THROW(validate_spec(p, spec));
   EXPECT_NO_THROW((void)measure_recovery<TokenMergeModel>(p, spec));
-  spec.recovered_implies_unique_leader = true;
+  spec.recovered_is_safe_set = true;
   EXPECT_THROW(validate_spec(p, spec), std::invalid_argument);
   EXPECT_THROW((void)measure_recovery<TokenMergeModel>(p, spec),
                std::invalid_argument);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -325,6 +326,24 @@ TEST(EnsembleRunner, RunUntilEachRejectsMisSizedHitsInEveryBuild) {
   ensemble.run_until_each({2}, after_100, 1000, 50,
                           std::span<std::uint64_t>(hits));
   EXPECT_EQ(hits, (std::vector<std::uint64_t>{7, 7, 100}));
+}
+
+TEST(EnsembleRunner, UnboundedBudgetAfterStepsDoesNotWrap) {
+  // Same saturation as Runner::run_until: a UINT64_MAX budget on rings
+  // that have already stepped must not wrap to a deadline in the past.
+  const LeaderProto::Params p{8};
+  EnsembleRunner<LeaderProto> ensemble(p, 2);
+  const std::vector<LeaderProto::State> init(8);
+  for (int r = 0; r < 2; ++r) ensemble.add_ring(init, 20 + r);
+  ensemble.run(3);
+  const auto past_4000 = [&](std::span<const LeaderProto::State> c,
+                             const LeaderProto::Params&) {
+    return ensemble.steps(c.data() == ensemble.agents(0).data() ? 0 : 1) >=
+           4000;
+  };
+  const auto hits = ensemble.run_until_each(
+      past_4000, std::numeric_limits<std::uint64_t>::max(), 1);
+  EXPECT_EQ(hits, (std::vector<std::uint64_t>{4000, 4000}));
 }
 
 TEST(EnsembleRunner, PackedModeDrivesModkBitIdentically) {

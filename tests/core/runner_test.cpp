@@ -158,6 +158,21 @@ TEST(Runner, RunUntilTimesOut) {
   EXPECT_EQ(run.steps(), 1000u);
 }
 
+TEST(Runner, UnboundedBudgetAfterStepsDoesNotWrap) {
+  // max_steps = UINT64_MAX after a few steps: steps + max_steps wraps to a
+  // deadline in the past unless it saturates.
+  Runner<CountProto> run({4}, std::vector<CountProto::State>(4), 5);
+  run.run(3);
+  const auto after_4000 = [&run](std::span<const CountProto::State>,
+                                 const CountProto::Params&) {
+    return run.steps() >= 4000;
+  };
+  const auto hit =
+      run.run_until(after_4000, std::numeric_limits<std::uint64_t>::max(), 1);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, 4000u);
+}
+
 TEST(Runner, SchedulerIsUniformOverArcs) {
   // Count which arcs fire via an observer; chi-square against uniform.
   Runner<CountProto> run({8}, std::vector<CountProto::State>(8), 7);

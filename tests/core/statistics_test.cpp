@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace ppsim::core {
@@ -105,6 +106,15 @@ TEST(FitPower, InvalidOnEmptyInput) {
   EXPECT_FALSE(f.valid);
   EXPECT_EQ(f.skipped, 0);
   EXPECT_TRUE(std::isnan(f.exponent));
+}
+
+TEST(Statistics, MismatchedFitInputsThrowInEveryBuild) {
+  const std::vector<double> x{1, 2, 3, 4};
+  const std::vector<double> y{2, 4, 6};
+  EXPECT_THROW((void)fit_linear(x, y), std::invalid_argument);
+  EXPECT_THROW((void)fit_power(x, y), std::invalid_argument);
+  EXPECT_THROW((void)fit_linear(y, x), std::invalid_argument);
+  EXPECT_THROW((void)fit_power({}, y), std::invalid_argument);
 }
 
 TEST(ChiSquare, UniformCountsScoreLow) {

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/ensemble.hpp"
 #include "core/rng.hpp"
 #include "core/runner.hpp"
 #include "pl/adversary.hpp"
+#include "pl/invariants.hpp"
 #include "pl/protocol.hpp"
 #include "pl/safe_config.hpp"
 #include "verification/differential.hpp"
@@ -182,6 +184,106 @@ TEST(WordKernelEnsemble, CrossRingLockstepMatchesPerRingAdvancement) {
     const auto sb = per_ring.agents(t);
     for (int i = 0; i < p.n; ++i) ASSERT_EQ(sa[i], sb[i]);
   }
+}
+
+/// run(k) and both run_until_each forms on an R-ring ensemble against R
+/// standalone scalar Runners: every ring must track its Runner exactly,
+/// rings outside the subset must not move, and their hits stay untouched.
+void expect_padded_groups_match(int n, int R, std::uint64_t max_steps) {
+  SCOPED_TRACE("n " + std::to_string(n) + ", rings " + std::to_string(R));
+  const auto p = PlParams::make(n, 4);
+  EnsembleRunner<PlProtocol> ens(p, R);
+  std::vector<Runner<PlProtocol>> refs;
+  core::Xoshiro256pp cfg(1234 + static_cast<std::uint64_t>(R));
+  for (int t = 0; t < R; ++t) {
+    // Mostly safe rings hit by a fault or two (at n = 16 they recover
+    // inside the budget), with a random ring now and then (it times out).
+    auto init = pl::make_safe_config(p, t % p.n, 3);
+    if (t % 5 == 4) {
+      init = pl::random_config(p, cfg);
+    } else {
+      pl::corrupt(init, p, 1 + t % 2, cfg);
+    }
+    const std::uint64_t seed = 50 + static_cast<std::uint64_t>(R * 100 + t);
+    ens.add_ring(init, seed);
+    refs.emplace_back(p, std::move(init), seed);
+  }
+  const auto expect_all_same = [&](const char* what) {
+    for (int t = 0; t < R; ++t)
+      expect_ring_same(refs[static_cast<std::size_t>(t)], ens, t, what);
+  };
+  const std::uint64_t every = static_cast<std::uint64_t>(n);
+
+  ens.run(301);
+  for (auto& r : refs) r.run(301);
+  expect_all_same("run(k)");
+  ASSERT_TRUE(ens.word_kernel_mode());
+
+  // Subset form, declared safe set (checked on the packed words).
+  std::vector<int> subset;
+  for (int t = 0; t < R; ++t)
+    if (t % 3 != 1) subset.push_back(t);
+  std::vector<std::uint64_t> hits(static_cast<std::size_t>(R), 7);
+  ens.run_until_each(subset, pl::SafePredicate{}, max_steps, every, hits,
+                     true);
+  for (int t = 0; t < R; ++t) {
+    const auto ti = static_cast<std::size_t>(t);
+    if (t % 3 == 1) {
+      ASSERT_EQ(hits[ti], 7u) << "ring " << t << " outside the subset";
+      continue;
+    }
+    const auto want = refs[ti].run_until(pl::SafePredicate{}, max_steps,
+                                          every);
+    ASSERT_EQ(hits[ti], want.value_or(EnsembleRunner<PlProtocol>::npos))
+        << "ring " << t;
+  }
+  expect_all_same("subset run_until_each");
+
+  // Full form, undeclared (State-checked at every block).
+  const auto all = ens.run_until_each(pl::SafePredicate{}, max_steps, every);
+  for (int t = 0; t < R; ++t) {
+    const auto ti = static_cast<std::size_t>(t);
+    const auto want = refs[ti].run_until(pl::SafePredicate{}, max_steps,
+                                          every);
+    ASSERT_EQ(all[ti], want.value_or(EnsembleRunner<PlProtocol>::npos))
+        << "ring " << t;
+  }
+  expect_all_same("full run_until_each");
+
+  ens.run(77);
+  for (auto& r : refs) r.run(77);
+  expect_all_same("run(k) after");
+}
+
+TEST(WordKernelEnsemble, PaddedGroupsMatchPerRingAdvancementForEveryRemainder) {
+  // Every ring count from 1 to 17, and 46 (a campaign shard), leaves every
+  // remainder mod G in a trailing group: padded with idle lanes from
+  // lockstep_min_rings live rings (G/2 at n = 16), per-ring below.
+  for (int R = 1; R <= 17; ++R) expect_padded_groups_match(16, R, 20'000);
+  expect_padded_groups_match(16, 46, 20'000);
+  // The floor rises with n (6 of 8 lanes at n = 384, a full group from
+  // n = 1024 at G = 8): both sides of it, with budgets that mostly time
+  // out.
+  for (int R : {5, 6, 13, 14}) expect_padded_groups_match(384, R, 3'000);
+  expect_padded_groups_match(1024, 15, 3'000);
+}
+
+TEST(WordKernelEnsemble, LockstepFloorFollowsDisjointness) {
+  using Driver = core::WordGroupDriver<PlProtocol>;
+  for (int g : {4, 8}) {
+    EXPECT_EQ(Driver::lockstep_min_rings(16, g), g / 2);
+    EXPECT_EQ(Driver::lockstep_min_rings(1 << 20, g), g);
+    int prev = g / 2;
+    for (int n = 16; n <= 65536; n *= 2) {
+      const int m = Driver::lockstep_min_rings(n, g);
+      EXPECT_GE(m, prev) << "n " << n;  // non-decreasing in n
+      EXPECT_LE(m, g);
+      prev = m;
+    }
+  }
+  EXPECT_EQ(Driver::lockstep_min_rings(256, 8), 6);   // break-even ~5
+  EXPECT_EQ(Driver::lockstep_min_rings(384, 8), 6);
+  EXPECT_EQ(Driver::lockstep_min_rings(1024, 8), 8);  // never partial
 }
 
 TEST(WordKernelEnsemble, OutOfDomainInjectionDropsLaneNotTrajectory) {

@@ -3,7 +3,9 @@
 // configurations that carry tokens, every single-field perturbation of them,
 // random and token-heavy configurations, and configurations sampled along
 // recovery trajectories. Only the verdicts must agree: the two report the
-// first violation in different orders.
+// first violation in different orders. pl::is_safe_words (the same walk on
+// the packed mirror) must agree too, on every one of those configurations
+// that survives the pack round trip.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include "core/runner.hpp"
 #include "pl/adversary.hpp"
 #include "pl/invariants.hpp"
+#include "pl/packed_state.hpp"
 #include "pl/protocol.hpp"
 #include "pl/safe_config.hpp"
 #include "safe_oracle.hpp"
@@ -26,7 +29,12 @@ namespace {
 
 using testing::oracle_is_safe;
 
-/// Compare all three verdicts; returns the shared one.
+/// Configurations whose every agent survives the pack round trip, i.e.
+/// those the word lane can hold (counted per test: the perturbation
+/// corpus must reach the word form too).
+int g_word_checked = 0;
+
+/// Compare all verdicts; returns the shared one.
 bool expect_agree(const std::vector<PlState>& c, const PlParams& p,
                   const std::string& where) {
   const bool want = oracle_is_safe(c, p);
@@ -34,6 +42,14 @@ bool expect_agree(const std::vector<PlState>& c, const PlParams& p,
   const SafetyVerdict v = check_safe(c, p);
   EXPECT_EQ(v.safe, want) << where << " reason: " << v.reason;
   EXPECT_EQ(v.reason.empty(), v.safe) << where;
+  const PackedLayout l = PackedLayout::make(p);
+  std::vector<std::uint64_t> words;
+  for (const PlState& s : c) {
+    words.push_back(pack_word(s, l));
+    if (!(unpack_word(words.back(), l) == s)) return want;  // not word-held
+  }
+  EXPECT_EQ(is_safe_words(words, l, p), want) << where << " (words)";
+  ++g_word_checked;
   return want;
 }
 
@@ -106,6 +122,7 @@ class SafeCoreSizes : public ::testing::TestWithParam<int> {};
 
 TEST_P(SafeCoreSizes, SafeConfigsAndEverySingleFieldPerturbation) {
   const int n = GetParam();
+  g_word_checked = 0;
   const PlParams p = PlParams::make(n, 4);
   const std::vector<Token> tokens = token_values(p);
   for (int leader : {0, n / 3, n - 1}) {
@@ -128,11 +145,14 @@ TEST_P(SafeCoreSizes, SafeConfigsAndEverySingleFieldPerturbation) {
     EXPECT_GT(safe, 0);
     EXPECT_GT(unsafe, 0);
   }
+  // Every in-domain perturbation is word-held; out-of-domain ones are not.
+  EXPECT_GT(g_word_checked, 3 * n);
 }
 
 TEST_P(SafeCoreSizes, RandomAndTokenHeavyConfigs) {
   const int n = GetParam();
   const PlParams p = PlParams::make(n, 4);
+  g_word_checked = 0;
   core::Xoshiro256pp rng(0x5AFE + static_cast<std::uint64_t>(n));
   for (int t = 0; t < 200; ++t)
     expect_agree(random_config(p, rng), p, "random " + std::to_string(t));
@@ -160,6 +180,7 @@ TEST_P(SafeCoreSizes, RandomAndTokenHeavyConfigs) {
   }
   EXPECT_GT(safe, 0);
   EXPECT_LT(safe, 400);
+  EXPECT_EQ(g_word_checked, 600);  // random_state stays in the word domain
 }
 
 INSTANTIATE_TEST_SUITE_P(Rings, SafeCoreSizes,
@@ -167,6 +188,7 @@ INSTANTIATE_TEST_SUITE_P(Rings, SafeCoreSizes,
                                            256));
 
 TEST(SafeCore, AgreesAlongRecoveryTrajectories) {
+  g_word_checked = 0;
   for (int n : {8, 16, 23, 32}) {
     const PlParams p = PlParams::make(n, 4);
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -186,6 +208,7 @@ TEST(SafeCore, AgreesAlongRecoveryTrajectories) {
       }
     }
   }
+  EXPECT_GT(g_word_checked, 0);
 }
 
 TEST(SafeCore, ReasonNamesTheFirstViolation) {
