@@ -2,7 +2,7 @@
 // measured as recovery time after k injected faults, for the four runnable
 // Table-1 protocols, two ring sizes, two fault counts and two fault-schedule
 // shapes (one burst vs a spaced storm), on the scenario campaign engine
-// (analysis/scenario.hpp).
+// (analysis/scenario.hpp) executed by service::run_campaign.
 //
 // Writes BENCH_recovery.json (schema documented in README.md) so the
 // recovery trajectory is tracked per-commit next to BENCH_throughput.json.
@@ -19,6 +19,7 @@
 #include "core/table.hpp"
 #include "pl/params.hpp"
 #include "pl/protocol.hpp"
+#include "service/campaign.hpp"
 
 namespace {
 
@@ -64,9 +65,7 @@ std::vector<Cell> run_protocol(const std::string& name, std::uint64_t tag_base,
     }
   }
   std::vector<Cell> out;
-  for (auto& r : analysis::run_campaign<P>(
-           std::span<const std::pair<typename P::Params,
-                                     analysis::ScenarioSpec<P>>>(cells))) {
+  for (auto& r : service::run_campaign<P>(std::move(cells))) {
     out.push_back(Cell{name, std::move(r)});
   }
   return out;

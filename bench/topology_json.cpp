@@ -1,7 +1,8 @@
 // Topology x fault-model recovery campaign: the scenario engine run off the
 // hard-wired ring. P_PL and the mod-k baseline recover from a 2-fault burst
 // on ring / line / clique, with and without omission faults (message loss
-// p = 0.1), through the same run_campaign driver the ring benches use.
+// p = 0.1), through the same service::run_campaign executor the ring benches
+// use.
 //
 // The study protocols' safe sets are ring-structured, so off-ring cells may
 // legitimately never re-enter the safe set — that is reported honestly as
@@ -25,6 +26,7 @@
 #include "core/topology.hpp"
 #include "pl/params.hpp"
 #include "pl/protocol.hpp"
+#include "service/campaign.hpp"
 
 namespace {
 
@@ -66,10 +68,7 @@ std::vector<Cell> run_topology(const std::string& proto,
   }
   std::vector<Cell> out;
   std::size_t li = 0;
-  for (auto& r : analysis::run_campaign<P, Topo>(
-           std::span<const std::pair<typename P::Params,
-                                     analysis::ScenarioSpec<P, Topo>>>(
-               cells))) {
+  for (auto& r : service::run_campaign<P, Topo>(std::move(cells))) {
     out.push_back(Cell{proto, std::string(Topo::kName), losses[li++],
                        std::move(r)});
   }

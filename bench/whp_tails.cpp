@@ -33,7 +33,7 @@ int main() {
   // driver's scheme (seed ^ 0xC0FFEE), so tail numbers differ from the
   // pre-engine harness even at the same seed_base — same distribution,
   // different draws.
-  const auto stats = analysis::measure_convergence_parallel<pl::PlProtocol>(
+  const auto stats = analysis::measure_convergence<pl::PlProtocol>(
       p, [&](core::Xoshiro256pp& rng) { return pl::random_config(p, rng); },
       pl::SafePredicate{}, trials, 4'000'000'000ULL, /*seed_base=*/4242,
       /*tag=*/1);

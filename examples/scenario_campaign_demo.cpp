@@ -2,8 +2,8 @@
 // protocols side by side.
 //
 // A spec is (initial-configuration family x fault schedule x recovery
-// predicate x trial plan); the campaign driver runs each trial to
-// stabilization, injects the scheduled faults via Runner::set_agent and
+// predicate x trial plan); service::run_campaign runs each trial to
+// stabilization, injects the scheduled faults through a core::RingView and
 // measures the time to re-enter the protocol's safe set. Everything is
 // deterministic in (seed_base, tag, trial index) — rerun with the same
 // arguments and the numbers repeat, at any thread count.
@@ -17,6 +17,7 @@
 #include "core/env.hpp"
 #include "pl/params.hpp"
 #include "pl/protocol.hpp"
+#include "service/campaign.hpp"
 
 namespace {
 
@@ -47,9 +48,7 @@ void report(const char* protocol, const typename P::Params& params,
   }
 
   std::printf("%s (n = %d):\n", protocol, params.n);
-  for (const auto& r : analysis::run_campaign<P>(
-           std::span<const std::pair<typename P::Params,
-                                     analysis::ScenarioSpec<P>>>(cells))) {
+  for (const auto& r : service::run_campaign<P>(std::move(cells))) {
     std::printf("  %-6s f=%-3lld median recovery %10.0f steps  (p90 %10.0f, "
                 "%lld/%lld healed)\n",
                 r.scenario.c_str(), static_cast<long long>(r.faults),

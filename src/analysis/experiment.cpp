@@ -5,25 +5,6 @@
 
 namespace ppsim::analysis {
 
-namespace detail {
-
-ConvergenceStats fold_trials(const std::vector<std::uint64_t>& hits) {
-  constexpr std::uint64_t kMiss = std::numeric_limits<std::uint64_t>::max();
-  ConvergenceStats out;
-  out.trials = static_cast<int>(hits.size());
-  for (std::uint64_t h : hits) {
-    if (h == kMiss) {
-      ++out.failures;
-    } else {
-      out.raw.push_back(h);
-    }
-  }
-  out.steps = core::summarize_u64(out.raw);
-  return out;
-}
-
-}  // namespace detail
-
 core::PowerFit fit_median_scaling(const std::vector<ScalingPoint>& points) {
   int all_failure = 0;
   std::vector<double> x, y;

@@ -1,36 +1,29 @@
-// Experiment driver: repeated-trial convergence measurement with decorrelated
-// seeds, used by every bench harness and the integration tests.
+// Experiment driver: repeated-trial convergence measurement (Theorem 3.1)
+// with decorrelated seeds, used by every bench harness and the integration
+// tests.
 //
-// Two drivers share one seeding scheme (derive_seed(seed_base, tag, t) per
-// trial, config RNG seeded with stream_seed(seed, streams::kConfig) — the
-// stream-tag registry, core/stream_tags.hpp):
-//
-//  * measure_convergence          — the serial driver.
-//  * measure_convergence_parallel — fans work out over a core::ThreadPool.
-//
-// Both shard the trial index range into contiguous blocks and run each block
-// as one core::EnsembleRunner (struct-of-arrays state, blocked per-ring hot
-// loop — the campaign-throughput win measured in BENCH_ensemble.json). Because ring
-// t of a shard owns exactly the RNG streams a standalone Runner for trial t
-// would own and rings never interact, the returned ConvergenceStats —
+// A convergence trial is the stabilization phase of a recovery trial with
+// an empty fault schedule (analysis/scenario.hpp). measure_convergence
+// wraps its generator and predicate into such a ScenarioSpec and runs it
+// through the same pool fan-out (detail::run_trials) and shard function
+// (detail::ensemble_recovery_shard) as measure_recovery, so the seeding is
+// shared: derive_seed(seed_base, tag, t) per trial, configuration RNG
+// seeded with stream_seed(seed, streams::kConfig) — the stream-tag
+// registry, core/stream_tags.hpp. The returned ConvergenceStats —
 // including the raw hitting-time vector, in trial order — is bit-identical
-// to the historical per-trial Runner loop (kept as
-// detail::convergence_trial, pinned by tests/core/ensemble_test.cpp) and
-// identical for every thread count and shard width
+// to the per-trial Runner loop (kept as detail::convergence_trial, pinned
+// by tests/core/ensemble_test.cpp) and identical for every thread count
 // (tests/analysis/analysis_test.cpp).
 //
 // `gen` and `pred` are invoked concurrently from pool threads and must be
 // safe to call in parallel (the stateless lambdas used by all harnesses are).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <string>
+#include <span>
 #include <vector>
 
-#include "core/ensemble.hpp"
-#include "core/parallel.hpp"
+#include "analysis/scenario.hpp"
 #include "core/rng.hpp"
 #include "core/runner.hpp"
 #include "core/statistics.hpp"
@@ -49,9 +42,9 @@ namespace detail {
 
 /// One trial of the convergence experiment on a standalone Runner; returns
 /// the hitting step or Runner<P>::npos on timeout. This is the historical
-/// per-trial path, kept as the byte-identity reference for the
-/// ensemble-sharded drivers (tests/core/ensemble_test.cpp compares the two
-/// trial for trial).
+/// per-trial path, kept as the byte-identity reference for
+/// measure_convergence (tests/core/ensemble_test.cpp compares the two trial
+/// for trial).
 template <typename P, typename ConfigGen, typename Pred>
 [[nodiscard]] std::uint64_t convergence_trial(
     const typename P::Params& params, ConfigGen& gen, Pred& pred,
@@ -64,117 +57,45 @@ template <typename P, typename ConfigGen, typename Pred>
       .value_or(core::Runner<P>::npos);
 }
 
-/// Shard width (rings per EnsembleRunner) for the trial-batched drivers:
-/// capped so one shard's agent-state block stays cache-resident (~256 KiB),
-/// floored at 1 ring for huge rings, capped at 64 for tiny ones. A function
-/// of (n, state size) only — NOT of the thread count — so sharding can never
-/// perturb results across machines or pool sizes (each trial is independent
-/// and seeded by its global index; shard boundaries are invisible in the
-/// output either way).
-[[nodiscard]] constexpr std::size_t ensemble_shard_rings(
-    std::size_t ring_state_bytes) noexcept {
-  constexpr std::size_t kShardStateBudget = 256 * 1024;
-  if (ring_state_bytes == 0) return 64;
-  const std::size_t rings = kShardStateBudget / ring_state_bytes;
-  return std::clamp<std::size_t>(rings, 1, 64);
-}
-
-/// Shard width for the *pool-parallel* drivers: the cache-capped width
-/// above, further split so every worker sees several shards (per-trial
-/// durations vary wildly across trials). Shard boundaries cannot affect any
-/// result — trials are seeded by global index and rings never interact — so
-/// this balancing knob is output-invisible. Shared by
-/// measure_convergence_parallel and measure_recovery so the two drivers'
-/// sharding cannot drift.
-[[nodiscard]] constexpr std::size_t balanced_shard_width(
-    std::size_t ring_state_bytes, std::size_t work_items,
-    std::size_t workers) noexcept {
-  const std::size_t cap = ensemble_shard_rings(ring_state_bytes);
-  const std::size_t per_worker = work_items / (4 * workers) + 1;
-  return std::max<std::size_t>(1, std::min(cap, per_worker));
-}
-
-/// Run trials [first, first + count) as one ensemble, writing each trial's
-/// hitting step (or npos) into hits[first + i]. Ring i is seeded exactly as
-/// convergence_trial(t = first + i) seeds its Runner.
-template <typename P, typename ConfigGen, typename Pred>
-void ensemble_convergence_shard(const typename P::Params& params,
-                                ConfigGen& gen, Pred& pred,
-                                std::uint64_t max_steps,
-                                std::uint64_t seed_base, std::uint64_t tag,
-                                std::uint64_t check_every, std::size_t first,
-                                std::size_t count,
-                                std::vector<std::uint64_t>& hits) {
-  core::EnsembleRunner<P> ensemble(params, static_cast<int>(count));
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t seed = core::derive_seed(
-        seed_base, tag, static_cast<std::uint64_t>(first + i));
-    core::Xoshiro256pp cfg_rng(core::stream_seed(seed, core::streams::kConfig));
-    const auto initial = gen(cfg_rng);
-    ensemble.add_ring(initial, seed);
-  }
-  const auto shard_hits =
-      ensemble.run_until_each(pred, max_steps, check_every);
-  std::copy(shard_hits.begin(), shard_hits.end(), hits.begin() + first);
-}
-
-/// Fold per-trial hitting times (npos = failure) into ConvergenceStats.
-[[nodiscard]] ConvergenceStats fold_trials(
-    const std::vector<std::uint64_t>& hits);
-
 }  // namespace detail
 
 /// Run `trials` executions of protocol P from configurations produced by
-/// `gen(rng)` until `pred(agents, params)` holds, collecting hitting times.
+/// `gen(rng)` until `pred(agents, params)` holds, collecting hitting times,
+/// over `threads` workers (0 = PPSIM_THREADS / hardware concurrency).
 /// Trials exceeding `max_steps` count as failures and are excluded from the
-/// summary. `check_every` is the predicate check granularity in steps
-/// (0 = every ~n steps): reported hitting times are quantized *up* to the
-/// first check at or after the true hit, so a coarser granularity trades
-/// precision for throughput.
+/// summary; a negative `trials` means none. `check_every` is the predicate
+/// check granularity in steps (0 = every ~n): reported hitting times are
+/// quantized *up* to the first check at or after the true hit, so a coarser
+/// granularity trades precision for throughput.
 template <typename P, typename ConfigGen, typename Pred>
 [[nodiscard]] ConvergenceStats measure_convergence(
     const typename P::Params& params, ConfigGen&& gen, Pred&& pred,
     int trials, std::uint64_t max_steps, std::uint64_t seed_base,
-    std::uint64_t tag, std::uint64_t check_every = 0) {
-  // Negative counts degrade to zero trials (a negative PPSIM_TRIALS parses
-  // strictly — core/env.hpp — and means "no trials" here).
-  std::vector<std::uint64_t> hits(
-      static_cast<std::size_t>(std::max(trials, 0)));
-  const std::size_t shard = detail::ensemble_shard_rings(
-      static_cast<std::size_t>(params.n) * sizeof(typename P::State));
-  for (std::size_t first = 0; first < hits.size(); first += shard) {
-    detail::ensemble_convergence_shard<P>(
-        params, gen, pred, max_steps, seed_base, tag, check_every, first,
-        std::min(shard, hits.size() - first), hits);
-  }
-  return detail::fold_trials(hits);
-}
-
-/// Trial-parallel driver: same seeding, same results, `threads` workers
-/// (0 = PPSIM_THREADS / hardware concurrency). The pool distributes shard
-/// indices; each shard is one ensemble over a contiguous trial range, so
-/// results stay bit-identical to the serial driver (and to the per-trial
-/// reference) for every thread count. `check_every` as in
-/// measure_convergence.
-template <typename P, typename ConfigGen, typename Pred>
-[[nodiscard]] ConvergenceStats measure_convergence_parallel(
-    const typename P::Params& params, ConfigGen&& gen, Pred&& pred,
-    int trials, std::uint64_t max_steps, std::uint64_t seed_base,
     std::uint64_t tag, int threads = 0, std::uint64_t check_every = 0) {
-  std::vector<std::uint64_t> hits(
-      static_cast<std::size_t>(std::max(trials, 0)));
-  core::ThreadPool pool(threads);
-  const std::size_t shard = detail::balanced_shard_width(
-      static_cast<std::size_t>(params.n) * sizeof(typename P::State),
-      hits.size(), static_cast<std::size_t>(pool.size()));
-  const std::size_t shards = (hits.size() + shard - 1) / shard;
-  pool.for_index(shards, [&](std::size_t s) {
-    const std::size_t first = s * shard;
-    detail::ensemble_convergence_shard<P>(
-        params, gen, pred, max_steps, seed_base, tag, check_every, first,
-        std::min(shard, hits.size() - first), hits);
-  });
-  return detail::fold_trials(hits);
+  ScenarioSpec<P> spec;
+  spec.initial = [&gen](const typename P::Params&, core::Xoshiro256pp& rng) {
+    return gen(rng);
+  };
+  spec.recovered = [&pred](std::span<const typename P::State> agents,
+                           const typename P::Params& p) {
+    return pred(agents, p);
+  };
+  spec.plan.trials = trials;
+  spec.plan.max_steps = max_steps;
+  spec.plan.seed_base = seed_base;
+  spec.plan.tag = tag;
+  spec.plan.check_every = check_every;
+  ConvergenceStats out;
+  for (const RecoveryTrial& t : detail::run_trials(params, spec, threads)) {
+    ++out.trials;
+    if (t.stabilized) {
+      out.raw.push_back(t.stabilize_steps);
+    } else {
+      ++out.failures;
+    }
+  }
+  out.steps = core::summarize_u64(out.raw);
+  return out;
 }
 
 /// One (n, statistics) point of a scaling sweep.
@@ -207,7 +128,7 @@ template <typename P, typename MakeParams, typename ConfigGen, typename Pred>
     const auto params = mk(n);
     ScalingPoint pt;
     pt.n = params.n;
-    pt.stats = measure_convergence_parallel<P>(
+    pt.stats = measure_convergence<P>(
         params,
         [&](core::Xoshiro256pp& rng) { return gen(params, rng); }, pred,
         trials, sweep_budget(params.n), seed_base,

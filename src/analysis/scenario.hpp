@@ -9,8 +9,7 @@
 //   initial-configuration family x fault schedule x recovery predicate
 //                                x trial plan
 //
-// Per trial (seeded derive_seed(seed_base, tag, t), same scheme as
-// analysis/experiment.hpp):
+// Per trial (seeded derive_seed(seed_base, tag, t)):
 //
 //   1. build a Runner from spec.initial(params, cfg_rng)      [cfg stream]
 //   2. run_until(spec.recovered) — the stabilization phase; a timeout here
@@ -21,21 +20,28 @@
 //   4. run_until(spec.recovered) again — the recovery phase; the recovery
 //      time is the hitting step minus the step of the last injection
 //
+// A convergence trial (Theorem 3.1, analysis/experiment.hpp) is steps 1-2
+// of a trial with an empty schedule: measure_convergence wraps its
+// generator and predicate into such a spec and reads stabilize_steps.
+//
 // Determinism: the configuration stream (stream_seed(seed,
 // streams::kConfig)) and the fault stream (stream_seed(seed,
 // streams::kFaults)) are decorrelated per trial and independent of the
 // scheduler stream, work is fanned over core::ThreadPool by *index* only,
-// and injections happen at exact step offsets — so campaign results are
+// and injections happen at exact step offsets — so results are
 // bit-identical for every thread count (tests/analysis/scenario_test.cpp).
 //
-// Execution: measure_recovery shards the trial range into contiguous blocks,
-// each run as one core::EnsembleRunner (struct-of-arrays state, blocked
-// per-ring hot loop — the campaign-throughput win recorded in
-// BENCH_ensemble.json). Ring t owns
-// exactly the three RNG streams trial t's standalone Runner would own and
-// rings never interact, so RecoveryStats is byte-identical to the historical
-// per-trial path (kept as detail::recovery_trial, pinned by
-// tests/core/ensemble_test.cpp). Injectors receive a core::RingView — one
+// Execution: one shard function, detail::ensemble_recovery_shard, runs a
+// contiguous block of trials as one core::EnsembleRunner (struct-of-arrays
+// state, blocked per-ring hot loop — the campaign-throughput win recorded
+// in BENCH_ensemble.json). Ring t owns exactly the three RNG streams trial
+// t's standalone Runner would own and rings never interact, so every
+// trial is byte-identical to the per-trial reference path (kept as
+// detail::recovery_trial, pinned by tests/core/ensemble_test.cpp).
+// Two executors call it: detail::run_trials, the thread-balanced pool
+// fan-out of one cell behind measure_recovery and measure_convergence, and
+// service::CampaignService (service/campaign.hpp), which runs many cells
+// with frames and checkpoints. Injectors receive a core::RingView — one
 // ring of either engine — rather than a whole Runner.
 //
 // Quantization: both run_until phases check the predicate every
@@ -85,7 +91,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/experiment.hpp"
 #include "core/ensemble.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
@@ -142,7 +147,6 @@ struct TrialPlan {
   std::uint64_t seed_base = 1;
   std::uint64_t tag = 0;
   std::uint64_t check_every = 0;  ///< predicate granularity; 0 = every ~n
-  int threads = 0;                ///< ThreadPool size; 0 = default
 };
 
 /// Declarative recovery scenario for protocol P. `initial` draws the
@@ -182,13 +186,22 @@ struct ScenarioSpec {
   bool recovered_is_safe_set = false;
 };
 
-/// Submission-time checks of a spec, in every build type: the scheduler
+/// Submission-time checks of a spec, in every build type: every fault
+/// event's count against [0, params.n] (an injector corrupts distinct
+/// agents, so a larger count could not happen as reported), the scheduler
 /// fault model against the arc count of the spec's topology at params.n,
 /// and the safe-set declaration against the protocol's census.
 /// Throws std::invalid_argument naming the problem.
 template <typename P, typename Topo>
 void validate_spec(const typename P::Params& params,
                    const ScenarioSpec<P, Topo>& spec) {
+  for (const FaultEvent& ev : spec.schedule)
+    if (ev.faults < 0 || ev.faults > params.n)
+      throw std::invalid_argument(
+          "ScenarioSpec '" + spec.name + "': fault event at step " +
+          std::to_string(ev.at_step) + " corrupts " +
+          std::to_string(ev.faults) + " agents, outside [0, n = " +
+          std::to_string(params.n) + "]");
   spec.sched_faults.validate(
       static_cast<std::size_t>(Topo(params.n).arc_count(P::directed)));
   if constexpr (!core::HasLeaderOutput<P>) {
@@ -222,6 +235,34 @@ struct RecoveryStats {
 };
 
 namespace detail {
+
+/// Shard width (rings per EnsembleRunner): capped so one shard's
+/// agent-state block stays cache-resident (~256 KiB), floored at 1 ring for
+/// huge rings, capped at 64 for tiny ones. A function of (n, state size)
+/// only — NOT of the thread count — so sharding can never perturb results
+/// across machines or pool sizes (each trial is independent and seeded by
+/// its global index; shard boundaries are invisible in the output either
+/// way). service::CampaignService shards every cell at exactly this width.
+[[nodiscard]] constexpr std::size_t ensemble_shard_rings(
+    std::size_t ring_state_bytes) noexcept {
+  constexpr std::size_t kShardStateBudget = 256 * 1024;
+  if (ring_state_bytes == 0) return 64;
+  const std::size_t rings = kShardStateBudget / ring_state_bytes;
+  return std::clamp<std::size_t>(rings, 1, 64);
+}
+
+/// Shard width for the pool fan-out of one cell (run_trials): the
+/// cache-capped width above, further split so every worker sees several
+/// shards (per-trial durations vary wildly across trials). Shard boundaries
+/// cannot affect any result — trials are seeded by global index and rings
+/// never interact — so this balancing knob is output-invisible.
+[[nodiscard]] constexpr std::size_t balanced_shard_width(
+    std::size_t ring_state_bytes, std::size_t work_items,
+    std::size_t workers) noexcept {
+  const std::size_t cap = ensemble_shard_rings(ring_state_bytes);
+  const std::size_t per_worker = work_items / (4 * workers) + 1;
+  return std::max<std::size_t>(1, std::min(cap, per_worker));
+}
 
 /// `spec.schedule` stably sorted by at_step (same-step events keep their
 /// declared order) — the execution order of every trial.
@@ -345,33 +386,46 @@ void ensemble_recovery_shard(const typename P::Params& params,
 [[nodiscard]] RecoveryStats fold_recovery(
     const std::vector<RecoveryTrial>& trials);
 
-}  // namespace detail
-
-/// Execute one scenario: `plan.trials` trials sharded into contiguous
-/// ensembles fanned over a ThreadPool, bit-identical for any thread count
-/// and to the per-trial reference path (indices only; see header comment).
-template <typename P, typename Topo = core::RingTopology>
-[[nodiscard]] RecoveryStats measure_recovery(
-    const typename P::Params& params, const ScenarioSpec<P, Topo>& spec) {
+/// The pool fan-out of one cell: validates the spec, then runs its
+/// `plan.trials` trials (negative = none) as balanced shards over a
+/// ThreadPool of `threads` workers and returns them in trial order.
+template <typename P, typename Topo>
+[[nodiscard]] std::vector<RecoveryTrial> run_trials(
+    const typename P::Params& params, const ScenarioSpec<P, Topo>& spec,
+    int threads) {
   validate_spec(params, spec);
   std::vector<RecoveryTrial> trials(
       static_cast<std::size_t>(std::max<std::int64_t>(spec.plan.trials, 0)));
-  core::ThreadPool pool(spec.plan.threads);
-  // Same cache-capped, load-balanced sharding as the convergence drivers;
-  // output-invisible (trials are seeded by global index).
-  const std::size_t shard = analysis::detail::balanced_shard_width(
+  core::ThreadPool pool(threads);
+  const std::size_t shard = balanced_shard_width(
       static_cast<std::size_t>(params.n) * sizeof(typename P::State),
       trials.size(), static_cast<std::size_t>(pool.size()));
   const std::size_t shards = (trials.size() + shard - 1) / shard;
   pool.for_index(shards, [&](std::size_t s) {
     const std::size_t first = s * shard;
-    detail::ensemble_recovery_shard<P, Topo>(
-        params, spec, first, std::min(shard, trials.size() - first), trials);
+    ensemble_recovery_shard<P, Topo>(params, spec, first,
+                                     std::min(shard, trials.size() - first),
+                                     trials);
   });
-  return detail::fold_recovery(trials);
+  return trials;
 }
 
-/// One executed campaign cell.
+}  // namespace detail
+
+/// Execute one scenario: `plan.trials` trials sharded into contiguous
+/// ensembles fanned over a ThreadPool of `threads` workers
+/// (0 = PPSIM_THREADS / hardware concurrency), bit-identical for any thread
+/// count and to the per-trial reference path (indices only; see header
+/// comment).
+template <typename P, typename Topo = core::RingTopology>
+[[nodiscard]] RecoveryStats measure_recovery(
+    const typename P::Params& params, const ScenarioSpec<P, Topo>& spec,
+    int threads = 0) {
+  return detail::fold_recovery(detail::run_trials(params, spec, threads));
+}
+
+/// One executed campaign cell. Multi-cell campaigns run through
+/// service::run_campaign / service::CampaignService (service/campaign.hpp).
 struct CampaignResult {
   std::string scenario;
   int n = 0;
@@ -379,29 +433,10 @@ struct CampaignResult {
   RecoveryStats stats;
 };
 
-/// Execute a whole campaign (a list of params x spec cells) in order.
-/// Give each cell a distinct plan.tag — campaign_tag below is collision-free
-/// for n < 2^20 and faults < 2^12 — so cells stay decorrelated and
-/// reproducible independent of campaign order.
-template <typename P, typename Topo = core::RingTopology>
-[[nodiscard]] std::vector<CampaignResult> run_campaign(
-    std::span<const std::pair<typename P::Params, ScenarioSpec<P, Topo>>>
-        cells) {
-  std::vector<CampaignResult> out;
-  out.reserve(cells.size());
-  for (const auto& [params, spec] : cells) {
-    CampaignResult r;
-    r.scenario = spec.name;
-    r.n = params.n;
-    r.faults = total_faults(spec.schedule);
-    r.stats = measure_recovery<P, Topo>(params, spec);
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
 /// Per-cell experiment tag: tag_base | n | faults, collision-free for
-/// n < 2^20, faults < 2^12.
+/// n < 2^20, faults < 2^12. Give each cell of a campaign a distinct
+/// plan.tag so cells stay decorrelated and reproducible independent of
+/// campaign order.
 [[nodiscard]] constexpr std::uint64_t campaign_tag(std::uint64_t tag_base,
                                                    int n,
                                                    int faults) noexcept {

@@ -42,9 +42,9 @@
 // enumerated space, and every state entering the ensemble (add_ring,
 // set_agent) must round-trip — any violation permanently drops the ensemble
 // to the generic path, never to a wrong trajectory. This is what lets
-// analysis::measure_convergence / measure_convergence_parallel /
-// measure_recovery shard their trials into ensembles without changing a
-// single published number.
+// analysis::detail::ensemble_recovery_shard — the one shard function behind
+// measure_convergence, measure_recovery and service::CampaignService — run
+// trials as ensembles without changing a single published number.
 //
 // The third engine lane is the *word-kernel lane* (core::HasWordKernel —
 // P_PL): protocols whose state space is far too large for the LUT but

@@ -12,13 +12,17 @@
 // caller-only and the pool is usable even where hardware_concurrency() == 1.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,9 +32,19 @@ namespace ppsim::core {
 
 class ThreadPool {
  public:
+  /// Largest pool size: far above any core count trials are run on, far
+  /// below a thread count that would exhaust the host.
+  static constexpr int kMaxThreads = 256;
+
   /// `threads` == 0 picks default_threads(). The pool spawns `threads - 1`
-  /// workers; the caller of for_index() acts as the remaining one.
+  /// workers; the caller of for_index() acts as the remaining one. Throws
+  /// std::invalid_argument, before starting any worker, when `threads`
+  /// exceeds kMaxThreads.
   explicit ThreadPool(int threads = 0) {
+    if (threads > kMaxThreads)
+      throw std::invalid_argument(
+          "ThreadPool: " + std::to_string(threads) +
+          " threads requested, the cap is " + std::to_string(kMaxThreads));
     if (threads <= 0) threads = default_threads();
     threads_ = threads;
     workers_.reserve(static_cast<std::size_t>(threads - 1));
@@ -53,14 +67,22 @@ class ThreadPool {
 
   [[nodiscard]] int size() const noexcept { return threads_; }
 
-  /// Thread count from PPSIM_THREADS, else hardware_concurrency, else 1.
-  /// Strict parse (core::env_int, exit(2) on garbage); a parsed value <= 0
-  /// means "no override" and falls through to hardware concurrency.
+  /// Thread count from PPSIM_THREADS, else hardware_concurrency (clamped
+  /// to kMaxThreads), else 1. Strict parse (core::env_int, exit(2) on
+  /// garbage, and on a value above kMaxThreads); a parsed value <= 0 means
+  /// "no override" and falls through to hardware concurrency.
   [[nodiscard]] static int default_threads() {
     const int t = env_int("PPSIM_THREADS", 0);
+    if (t > kMaxThreads) {
+      std::fprintf(stderr,
+                   "ppsim: PPSIM_THREADS=%d exceeds the thread cap %d "
+                   "(refusing to start that many threads)\n",
+                   t, kMaxThreads);
+      std::exit(2);
+    }
     if (t > 0) return t;
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
+    return hw == 0 ? 1 : static_cast<int>(std::min<unsigned>(hw, kMaxThreads));
   }
 
   /// Invoke `fn(i)` for every i in [0, count), distributed over the pool.

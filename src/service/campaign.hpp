@@ -3,11 +3,11 @@
 //
 // Every bench/campaign used to be a run-to-completion process: preemption
 // at trial 999,999 of a million-trial sweep lost all work. CampaignService
-// turns run_campaign's cell list into a *work-queue of shards* fanned over
-// core::ThreadPool, streams one NDJSON result frame per shard, and
-// checkpoints progress so a campaign killed at any point — kill -9
-// included — resumes and finishes **byte-identically** to an uninterrupted
-// run, at any thread count, any number of times.
+// turns a list of (params, ScenarioSpec) cells into a *work-queue of
+// shards* fanned over core::ThreadPool, streams one NDJSON result frame per
+// shard, and checkpoints progress so a campaign killed at any point —
+// kill -9 included — resumes and finishes **byte-identically** to an
+// uninterrupted run, at any thread count, any number of times.
 //
 // Why the checkpoints are tiny: a trial is a pure function of its global
 // index (derive_seed(seed_base, tag, t) + the stream-tag registry,
@@ -45,6 +45,10 @@
 //   const auto report = svc.run(frames);               // resumes if killed
 //   if (report.status == service::RunStatus::kComplete)
 //     service::write_campaign_results_json(f, svc.results(), svc.digest());
+//
+// It is the one multi-cell executor: run_campaign at the bottom of this
+// file is the service with an in-memory sink and no checkpoint, for callers
+// that only want the folded results.
 #pragma once
 
 #include <algorithm>
@@ -67,7 +71,6 @@
 
 #include <unistd.h>
 
-#include "analysis/experiment.hpp"
 #include "analysis/scenario.hpp"
 #include "core/failpoint.hpp"
 #include "core/json.hpp"
@@ -596,8 +599,9 @@ class CampaignService {
     return rep;
   }
 
-  /// Folded per-cell campaign results — exactly run_campaign's output for
-  /// the same cells. Only valid once complete().
+  /// Folded per-cell campaign results — exactly measure_recovery's output
+  /// for each cell (tests/service/campaign_service_test.cpp). Only valid
+  /// once complete().
   [[nodiscard]] std::vector<analysis::CampaignResult> results() const {
     if (shards_quarantined() > 0)
       throw CheckpointError(
@@ -845,6 +849,24 @@ class CampaignService {
   std::uint64_t digest_ = 0;
   std::uint64_t frame_bytes_ = 0;  ///< sink offset covered by `progress_`
 };
+
+/// Execute a whole campaign (a list of params x spec cells) to completion
+/// and return its folded per-cell results in cell order: a CampaignService
+/// with a MemoryFrameSink and no checkpoint, over `threads` workers
+/// (0 = ThreadPool default; never affects a result). Give each cell a
+/// distinct plan.tag (analysis::campaign_tag). Throws std::invalid_argument
+/// for an invalid cell before any shard runs.
+template <typename P, typename Topo = core::RingTopology>
+[[nodiscard]] std::vector<analysis::CampaignResult> run_campaign(
+    std::vector<typename CampaignService<P, Topo>::Cell> cells,
+    int threads = 0) {
+  CampaignOptions opts;
+  opts.threads = threads;
+  CampaignService<P, Topo> svc(std::move(cells), opts);
+  MemoryFrameSink frames;
+  (void)svc.run(frames);
+  return svc.results();
+}
 
 /// The final-aggregate artifact, shared by the daemon, the bench harness
 /// and the tests so "byte-identical final artifacts" is one code path:

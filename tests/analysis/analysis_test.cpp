@@ -46,35 +46,46 @@ TEST(Experiment, SeedsDecorrelateTrials) {
   EXPECT_GT(distinct.size(), 1u);  // identical seeds would all coincide
 }
 
-TEST(Experiment, ParallelMatchesSerialBitIdentically) {
+TEST(Experiment, BitIdenticalAcrossThreadCounts) {
   // The acceptance bar for the trial-parallel engine: identical raw
   // hitting-time vectors (order included) for every thread count, on >= 100
   // trials. n is kept small so the whole matrix stays fast.
   const auto p = pl::PlParams::make(8, 2);
   auto gen = [&](core::Xoshiro256pp& rng) { return pl::random_config(p, rng); };
   const int trials = 120;
-  const auto serial = measure_convergence<pl::PlProtocol>(
-      p, gen, pl::SafePredicate{}, trials, 50'000'000ULL, 11, 5);
-  ASSERT_EQ(serial.trials, trials);
-  for (int threads : {1, 2, 3, 4, 7}) {
-    const auto par = measure_convergence_parallel<pl::PlProtocol>(
+  const auto single = measure_convergence<pl::PlProtocol>(
+      p, gen, pl::SafePredicate{}, trials, 50'000'000ULL, 11, 5,
+      /*threads=*/1);
+  ASSERT_EQ(single.trials, trials);
+  for (int threads : {2, 3, 4, 7}) {
+    const auto par = measure_convergence<pl::PlProtocol>(
         p, gen, pl::SafePredicate{}, trials, 50'000'000ULL, 11, 5, threads);
-    EXPECT_EQ(par.trials, serial.trials) << "threads=" << threads;
-    EXPECT_EQ(par.failures, serial.failures) << "threads=" << threads;
-    EXPECT_EQ(par.raw, serial.raw) << "threads=" << threads;
-    EXPECT_DOUBLE_EQ(par.steps.mean, serial.steps.mean)
+    EXPECT_EQ(par.trials, single.trials) << "threads=" << threads;
+    EXPECT_EQ(par.failures, single.failures) << "threads=" << threads;
+    EXPECT_EQ(par.raw, single.raw) << "threads=" << threads;
+    EXPECT_DOUBLE_EQ(par.steps.mean, single.steps.mean)
         << "threads=" << threads;
-    EXPECT_DOUBLE_EQ(par.steps.median, serial.steps.median)
+    EXPECT_DOUBLE_EQ(par.steps.median, single.steps.median)
         << "threads=" << threads;
   }
 }
 
 TEST(Experiment, ParallelCountsFailures) {
   const auto p = pl::PlParams::make(16, 4);
-  const auto stats = measure_convergence_parallel<pl::PlProtocol>(
+  const auto stats = measure_convergence<pl::PlProtocol>(
       p, [&](core::Xoshiro256pp& rng) { return pl::random_config(p, rng); },
       pl::SafePredicate{}, 4, /*max_steps=*/10, 2, 2, /*threads=*/3);
   EXPECT_EQ(stats.failures, 4);
+  EXPECT_TRUE(stats.raw.empty());
+}
+
+TEST(Experiment, NegativeTrialCountRunsNothing) {
+  const auto p = pl::PlParams::make(8, 2);
+  const auto stats = measure_convergence<pl::PlProtocol>(
+      p, [&](core::Xoshiro256pp& rng) { return pl::random_config(p, rng); },
+      pl::SafePredicate{}, -3, 1'000, 2, 2, /*threads=*/2);
+  EXPECT_EQ(stats.trials, 0);
+  EXPECT_EQ(stats.failures, 0);
   EXPECT_TRUE(stats.raw.empty());
 }
 
@@ -99,18 +110,19 @@ TEST(Experiment, ScalingSweepIsDeterministic) {
 
 TEST(Experiment, CheckEveryQuantizesHittingTimes) {
   // check_every is the predicate granularity: reported hitting times land on
-  // multiples of it, for the serial and the parallel driver identically.
+  // multiples of it, at one thread and at three identically.
   const auto p = pl::PlParams::make(8, 2);
   auto gen = [&](core::Xoshiro256pp&) { return pl::make_fresh_config(p); };
   const std::uint64_t check_every = 1'000;
-  const auto serial = measure_convergence<pl::PlProtocol>(
-      p, gen, pl::SafePredicate{}, 6, 50'000'000ULL, 4, 4, check_every);
-  ASSERT_EQ(serial.raw.size(), 6u);
-  for (std::uint64_t h : serial.raw) EXPECT_EQ(h % check_every, 0u);
-  const auto par = measure_convergence_parallel<pl::PlProtocol>(
+  const auto single = measure_convergence<pl::PlProtocol>(
+      p, gen, pl::SafePredicate{}, 6, 50'000'000ULL, 4, 4, /*threads=*/1,
+      check_every);
+  ASSERT_EQ(single.raw.size(), 6u);
+  for (std::uint64_t h : single.raw) EXPECT_EQ(h % check_every, 0u);
+  const auto par = measure_convergence<pl::PlProtocol>(
       p, gen, pl::SafePredicate{}, 6, 50'000'000ULL, 4, 4, /*threads=*/3,
       check_every);
-  EXPECT_EQ(par.raw, serial.raw);
+  EXPECT_EQ(par.raw, single.raw);
 }
 
 TEST(Scaling, FitRecoversQuadratic) {

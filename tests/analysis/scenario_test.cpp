@@ -1,9 +1,10 @@
 // Scenario campaign engine: determinism across thread counts, recovery
-// semantics of the phase diagram (stabilize -> inject -> recover), the
-// protocol-agnostic adversary layer, and the campaign driver.
+// semantics of the phase diagram (stabilize -> inject -> recover), spec
+// validation and the protocol-agnostic adversary layer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "analysis/adversary.hpp"
@@ -40,22 +41,19 @@ TEST(Scenario, MeasureRecoveryBitIdenticalAcrossThreads) {
   // raw recovery-time vector (trial order included) must be identical for
   // every thread count.
   const auto p = pl::PlParams::make(12, 4);
-  auto make = [&](int threads) {
-    TrialPlan plan;
-    plan.trials = 24;
-    plan.max_steps = budget(p.n, p.kappa_max);
-    plan.seed_base = 5;
-    plan.tag = campaign_tag(1, p.n, 2);
-    plan.threads = threads;
-    return make_recovery_scenario<pl::PlProtocol>(
-        "burst", burst_schedule(2), plan);
-  };
-  const auto serial = measure_recovery<pl::PlProtocol>(p, make(1));
+  TrialPlan plan;
+  plan.trials = 24;
+  plan.max_steps = budget(p.n, p.kappa_max);
+  plan.seed_base = 5;
+  plan.tag = campaign_tag(1, p.n, 2);
+  const auto spec = make_recovery_scenario<pl::PlProtocol>(
+      "burst", burst_schedule(2), plan);
+  const auto serial = measure_recovery<pl::PlProtocol>(p, spec, 1);
   ASSERT_EQ(serial.trials, 24);
   EXPECT_EQ(serial.stabilization_failures, 0);
   EXPECT_EQ(serial.recovery_failures, 0);
   for (int threads : {2, 3, 4, 7}) {
-    const auto par = measure_recovery<pl::PlProtocol>(p, make(threads));
+    const auto par = measure_recovery<pl::PlProtocol>(p, spec, threads);
     EXPECT_EQ(par.raw, serial.raw) << "threads=" << threads;
     EXPECT_EQ(par.stabilization_failures, serial.stabilization_failures);
     EXPECT_EQ(par.recovery_failures, serial.recovery_failures);
@@ -179,30 +177,35 @@ TEST(Scenario, Yokota28HealsFromBurst) {
                                     50'000'000, 8);
 }
 
-TEST(Scenario, RunCampaignExecutesEveryCell) {
+TEST(Scenario, FaultCountsOutsideTheRingAreRefused) {
+  // An injector corrupts distinct agents, so a burst larger than n (or a
+  // negative one) could never happen as the result would report it.
   const auto p = pl::PlParams::make(8, 2);
-  std::vector<std::pair<pl::PlParams, ScenarioSpec<pl::PlProtocol>>> cells;
-  for (int f : {1, 2}) {
-    TrialPlan plan;
-    plan.trials = 3;
-    plan.max_steps = budget(p.n, p.kappa_max);
-    plan.seed_base = 10;
-    plan.tag = campaign_tag(9, p.n, f);
-    cells.emplace_back(p, make_recovery_scenario<pl::PlProtocol>(
-                              "burst", burst_schedule(f), plan));
+  TrialPlan plan;
+  plan.trials = 2;
+  plan.max_steps = budget(p.n, p.kappa_max);
+  plan.seed_base = 11;
+  plan.tag = campaign_tag(11, p.n, 0);
+  for (const int faults : {p.n + 1, -1}) {
+    EXPECT_THROW((void)measure_recovery<pl::PlProtocol>(
+                     p, make_recovery_scenario<pl::PlProtocol>(
+                            "burst", burst_schedule(faults), plan)),
+                 std::invalid_argument)
+        << "faults=" << faults;
+    EXPECT_THROW(
+        (void)measure_recovery<pl::PlProtocol>(
+            p, make_recovery_scenario<pl::PlProtocol>(
+                   "storm", {FaultEvent{0, 1}, FaultEvent{5, faults}}, plan)),
+        std::invalid_argument)
+        << "faults=" << faults;
   }
-  const auto results = run_campaign<pl::PlProtocol>(
-      std::span<const std::pair<pl::PlParams, ScenarioSpec<pl::PlProtocol>>>(
-          cells));
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].faults, 1);
-  EXPECT_EQ(results[1].faults, 2);
-  for (const auto& r : results) {
-    EXPECT_EQ(r.scenario, "burst");
-    EXPECT_EQ(r.n, p.n);
-    EXPECT_EQ(r.stats.trials, 3);
-    EXPECT_EQ(r.stats.recovery_failures, 0);
-  }
+  // Every agent at once is the largest legal burst.
+  plan.tag = campaign_tag(11, p.n, p.n);
+  const auto all = measure_recovery<pl::PlProtocol>(
+      p, make_recovery_scenario<pl::PlProtocol>("burst", burst_schedule(p.n),
+                                                plan));
+  EXPECT_EQ(all.trials, 2);
+  EXPECT_EQ(all.stabilization_failures, 0);
 }
 
 /// Every named family of every covered protocol generates an in-domain,

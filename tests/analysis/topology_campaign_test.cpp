@@ -3,7 +3,8 @@
 // trajectories, standalone Runner ⇒ ensemble ring bit-identity, thread-count
 // invariance of faulted campaigns — then semantic sanity (loss_p = 1 freezes
 // state while steps advance; a zero-weight arc never fires), then full
-// recovery campaigns through measure_recovery / run_campaign off the ring.
+// recovery campaigns through measure_recovery / service::run_campaign off
+// the ring.
 #include "analysis/scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "core/topology.hpp"
 #include "pl/adversary.hpp"
 #include "pl/protocol.hpp"
+#include "service/campaign.hpp"
 #include "verification/toys.hpp"
 
 namespace ppsim::analysis {
@@ -170,17 +172,15 @@ TEST(TopologyCampaign, LineRecoveryUnderOmissionThreadInvariant) {
   plan.check_every = 16;
   const TokenMergeModel::Params p{8};
 
-  plan.threads = 1;
   const auto serial = measure_recovery<TokenMergeModel, core::LineTopology>(
-      p, toy_line_scenario(plan, 0.2));
+      p, toy_line_scenario(plan, 0.2), /*threads=*/1);
   EXPECT_EQ(serial.trials, 12);
   EXPECT_EQ(serial.stabilization_failures, 0);
   EXPECT_EQ(serial.recovery_failures, 0);
 
   for (const int threads : {2, 4}) {
-    plan.threads = threads;
     const auto par = measure_recovery<TokenMergeModel, core::LineTopology>(
-        p, toy_line_scenario(plan, 0.2));
+        p, toy_line_scenario(plan, 0.2), threads);
     EXPECT_EQ(par.raw, serial.raw) << "threads=" << threads;
     EXPECT_EQ(par.stabilization_failures, serial.stabilization_failures);
     EXPECT_EQ(par.recovery_failures, serial.recovery_failures);
@@ -196,12 +196,11 @@ TEST(TopologyCampaign, EnsembleShardsMatchPerTrialReferenceUnderFaults) {
   plan.seed_base = 21;
   plan.tag = 99;
   plan.check_every = 16;
-  plan.threads = 2;
   const TokenMergeModel::Params p{8};
   const auto spec = toy_line_scenario(plan, 0.25);
 
-  const auto stats =
-      measure_recovery<TokenMergeModel, core::LineTopology>(p, spec);
+  const auto stats = measure_recovery<TokenMergeModel, core::LineTopology>(
+      p, spec, /*threads=*/2);
   std::vector<RecoveryTrial> reference;
   for (int t = 0; t < plan.trials; ++t)
     reference.push_back(detail::recovery_trial<TokenMergeModel,
@@ -214,14 +213,14 @@ TEST(TopologyCampaign, EnsembleShardsMatchPerTrialReferenceUnderFaults) {
 }
 
 TEST(TopologyCampaign, RunCampaignAcrossTopologyFaultCells) {
-  // run_campaign end-to-end on a non-ring topology with both fault models
-  // mixed: cells stay decorrelated (distinct tags) and reproducible.
+  // service::run_campaign end-to-end on a non-ring topology with both fault
+  // models mixed: cells stay decorrelated (distinct tags) and reproducible,
+  // and each cell folds to exactly measure_recovery's statistics.
   TrialPlan plan;
   plan.trials = 6;
   plan.max_steps = 150'000;
   plan.seed_base = 33;
   plan.check_every = 16;
-  plan.threads = 2;
   const TokenMergeModel::Params p{6};
 
   std::vector<std::pair<TokenMergeModel::Params,
@@ -242,16 +241,17 @@ TEST(TopologyCampaign, RunCampaignAcrossTopologyFaultCells) {
     cells.emplace_back(p, std::move(spec));
   }
   const auto results =
-      run_campaign<TokenMergeModel, core::LineTopology>(
-          std::span<const std::pair<
-              TokenMergeModel::Params,
-              ScenarioSpec<TokenMergeModel, core::LineTopology>>>(cells));
+      service::run_campaign<TokenMergeModel, core::LineTopology>(cells, 2);
   ASSERT_EQ(results.size(), 2u);
-  for (const auto& r : results) {
+  for (std::size_t c = 0; c < results.size(); ++c) {
+    const auto& r = results[c];
     EXPECT_EQ(r.stats.trials, plan.trials);
     EXPECT_EQ(r.stats.stabilization_failures, 0);
     EXPECT_EQ(r.stats.recovery_failures, 0);
     EXPECT_EQ(r.faults, 2);
+    const auto alone = measure_recovery<TokenMergeModel, core::LineTopology>(
+        cells[c].first, cells[c].second, 2);
+    EXPECT_EQ(r.stats.raw, alone.raw) << "cell " << c;
   }
 }
 
@@ -265,12 +265,11 @@ TEST(TopologyCampaign, RingDefaultUnchangedByFaultMember) {
   plan.max_steps = 400'000;
   plan.seed_base = 9;
   plan.tag = 1234;
-  plan.threads = 1;
   const auto spec = make_recovery_scenario<pl::PlProtocol>(
       "burst", burst_schedule(2), plan);
   EXPECT_FALSE(spec.sched_faults.active());
-  const auto a = measure_recovery<pl::PlProtocol>(p, spec);
-  const auto b = measure_recovery<pl::PlProtocol>(p, spec);
+  const auto a = measure_recovery<pl::PlProtocol>(p, spec, 1);
+  const auto b = measure_recovery<pl::PlProtocol>(p, spec, 1);
   EXPECT_EQ(a.raw, b.raw);
   EXPECT_EQ(a.trials, 4);
 }

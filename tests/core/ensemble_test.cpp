@@ -4,15 +4,16 @@
 // last_leader_change, oracle reports (via oracle-protocol transitions) and
 // run_until_each hitting steps — for every census shape the engine
 // specializes on, on directed and undirected rings, and for the four study
-// protocols. On top of the engine-level checks, the migrated analysis
-// drivers (measure_convergence / measure_convergence_parallel /
-// measure_recovery) are compared trial-for-trial against the retained
-// per-trial reference paths (detail::convergence_trial /
-// detail::recovery_trial) across thread counts — the acceptance bar for the
+// protocols. On top of the engine-level checks, the analysis drivers
+// (measure_convergence and measure_recovery, both on the one recovery
+// shard) are compared trial-for-trial against the retained per-trial
+// reference paths (detail::convergence_trial / detail::recovery_trial)
+// across thread counts and engine lanes — the acceptance bar for the
 // trial-batched campaign engine is "not a single published number changes".
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -487,43 +488,95 @@ TEST(EnsembleRunner, RunUntilEachZeroBudgetMatchesRunner) {
 // ---------------------------------------------------------------------------
 // Migrated analysis drivers vs the retained per-trial reference paths.
 
-TEST(EnsembleMigration, MeasureConvergenceMatchesPerTrialReference) {
-  const auto p = pl::PlParams::make(8, 2);
-  auto gen = [&](core::Xoshiro256pp& r) { return pl::random_config(p, r); };
-  pl::SafePredicate pred{};
-  const int trials = 70;  // > shard width, exercises multi-shard folding
-  const std::uint64_t max_steps = 50'000'000, seed_base = 11, tag = 5;
-  std::vector<std::uint64_t> want(trials);
+/// measure_convergence (the recovery shard with an empty schedule) against
+/// detail::convergence_trial, trial for trial, at every thread count in
+/// `threads`.
+template <typename P, typename Gen, typename Pred>
+void expect_convergence_matches_reference(const typename P::Params& p,
+                                          Gen gen, Pred pred, int trials,
+                                          std::uint64_t seed_base,
+                                          std::uint64_t tag,
+                                          std::initializer_list<int> threads,
+                                          std::uint64_t check_every = 0) {
+  const std::uint64_t max_steps = 50'000'000;
+  std::vector<std::uint64_t> want;
+  int failures = 0;
   for (int t = 0; t < trials; ++t) {
-    want[static_cast<std::size_t>(t)] =
-        analysis::detail::convergence_trial<pl::PlProtocol>(
-            p, gen, pred, max_steps, seed_base, tag,
-            static_cast<std::uint64_t>(t), 0);
+    const std::uint64_t hit = analysis::detail::convergence_trial<P>(
+        p, gen, pred, max_steps, seed_base, tag,
+        static_cast<std::uint64_t>(t), check_every);
+    if (hit == Runner<P>::npos) {
+      ++failures;
+    } else {
+      want.push_back(hit);
+    }
   }
-  const auto stats = analysis::measure_convergence<pl::PlProtocol>(
-      p, gen, pred, trials, max_steps, seed_base, tag);
-  ASSERT_EQ(stats.trials, trials);
-  EXPECT_EQ(stats.failures, 0);
-  EXPECT_EQ(stats.raw, want);
+  ASSERT_FALSE(want.empty()) << "no trial converged; the comparison is vacuous";
+  for (int th : threads) {
+    const auto stats = analysis::measure_convergence<P>(
+        p, gen, pred, trials, max_steps, seed_base, tag, th, check_every);
+    EXPECT_EQ(stats.trials, trials) << "threads=" << th;
+    EXPECT_EQ(stats.failures, failures) << "threads=" << th;
+    EXPECT_EQ(stats.raw, want) << "threads=" << th;
+  }
 }
 
-TEST(EnsembleMigration, MeasureConvergenceParallelMatchesReferenceAllThreads) {
+TEST(EnsembleMigration, MeasureConvergenceMatchesPerTrialReference) {
+  // P_PL on the word-kernel lane. 70 trials exceed the shard width at every
+  // thread count, so multi-shard folding is exercised too.
   const auto p = pl::PlParams::make(8, 2);
-  auto gen = [&](core::Xoshiro256pp& r) { return pl::random_config(p, r); };
-  pl::SafePredicate pred{};
-  const int trials = 50;
-  const std::uint64_t max_steps = 50'000'000, seed_base = 13, tag = 9;
-  std::vector<std::uint64_t> want(trials);
-  for (int t = 0; t < trials; ++t) {
-    want[static_cast<std::size_t>(t)] =
-        analysis::detail::convergence_trial<pl::PlProtocol>(
-            p, gen, pred, max_steps, seed_base, tag,
-            static_cast<std::uint64_t>(t), 0);
+  ASSERT_TRUE(EnsembleRunner<pl::PlProtocol>(p, 1).word_kernel_mode());
+  expect_convergence_matches_reference<pl::PlProtocol>(
+      p, [&](core::Xoshiro256pp& r) { return pl::random_config(p, r); },
+      pl::SafePredicate{}, 70, 11, 5, {1, 2, 3, 5});
+  expect_convergence_matches_reference<pl::PlProtocol>(
+      p, [&](core::Xoshiro256pp& r) { return pl::random_config(p, r); },
+      pl::SafePredicate{}, 50, 13, 9, {1, 3}, /*check_every=*/24);
+}
+
+TEST(EnsembleMigration, MeasureConvergenceMatchesReferenceOnEveryLane) {
+  {  // modk: the packed LUT lane.
+    const auto p = baselines::ModkParams::make(13, 2);
+    ASSERT_TRUE(EnsembleRunner<baselines::Modk>(p, 1).packed_mode());
+    expect_convergence_matches_reference<baselines::Modk>(
+        p,
+        [&](core::Xoshiro256pp& r) {
+          return baselines::modk_random_config(p, r);
+        },
+        [](std::span<const baselines::ModkState> c,
+           const baselines::ModkParams& pp) {
+          return baselines::modk_is_safe(c, pp);
+        },
+        40, 31, 2, {1, 3});
   }
-  for (int threads : {1, 2, 5}) {
-    const auto stats = analysis::measure_convergence_parallel<pl::PlProtocol>(
-        p, gen, pred, trials, max_steps, seed_base, tag, threads);
-    EXPECT_EQ(stats.raw, want) << "threads=" << threads;
+  {  // fischer_jiang: an oracle protocol on the generic lane.
+    const auto p = baselines::FjParams::make(12);
+    const EnsembleRunner<baselines::FischerJiang> probe(p, 1);
+    ASSERT_FALSE(probe.packed_mode());
+    ASSERT_FALSE(probe.word_kernel_mode());
+    expect_convergence_matches_reference<baselines::FischerJiang>(
+        p,
+        [&](core::Xoshiro256pp& r) {
+          return baselines::fj_random_config(p, r);
+        },
+        [](std::span<const baselines::FjState> c,
+           const baselines::FjParams& pp) {
+          return baselines::fj_is_safe(c, pp);
+        },
+        30, 37, 3, {1, 3});
+  }
+  {  // yokota28: the Yokota–Sudo–Masuzawa baseline.
+    const auto p = baselines::Y28Params::make(12);
+    expect_convergence_matches_reference<baselines::Yokota28>(
+        p,
+        [&](core::Xoshiro256pp& r) {
+          return baselines::y28_random_config(p, r);
+        },
+        [](std::span<const baselines::Y28State> c,
+           const baselines::Y28Params& pp) {
+          return baselines::y28_is_safe(c, pp);
+        },
+        30, 41, 4, {1, 3});
   }
 }
 
@@ -545,9 +598,8 @@ TEST(EnsembleMigration, MeasureRecoveryMatchesPerTrialReferenceAllThreads) {
       want.push_back(analysis::detail::recovery_trial<pl::PlProtocol>(
           p, spec, static_cast<std::uint64_t>(t)));
     for (int threads : {1, 3}) {
-      auto spec_t = spec;
-      spec_t.plan.threads = threads;
-      const auto stats = analysis::measure_recovery<pl::PlProtocol>(p, spec_t);
+      const auto stats =
+          analysis::measure_recovery<pl::PlProtocol>(p, spec, threads);
       const auto want_stats = analysis::detail::fold_recovery(want);
       EXPECT_EQ(stats.raw, want_stats.raw) << "threads=" << threads;
       EXPECT_EQ(stats.stabilization_failures, want_stats.stabilization_failures);

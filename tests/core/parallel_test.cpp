@@ -1,11 +1,14 @@
-// ThreadPool: coverage, reuse, exception propagation, env-driven sizing.
+// ThreadPool: coverage, reuse, exception propagation, env-driven sizing and
+// the size cap.
 #include "core/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace ppsim::core {
@@ -64,6 +67,33 @@ TEST(ThreadPool, DefaultThreadsIsPositive) {
   std::atomic<int> count{0};
   pool.for_index(5, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 5);
+}
+
+TEST(ThreadPool, ExplicitSizeAboveCapThrowsBeforeStartingWorkers) {
+  // The refusal happens before any worker is spawned: no pool of this size
+  // ever starts a thread.
+  EXPECT_THROW({ ThreadPool pool(ThreadPool::kMaxThreads + 1); },
+               std::invalid_argument);
+}
+
+TEST(ThreadPool, EnvAboveCapIsAHardError) {
+  // PPSIM_THREADS above the cap takes the strict-knob exit-2 path before
+  // the pool starts a worker (set inside the child only). The threadsafe
+  // style re-executes the binary instead of forking a threaded process.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string over = std::to_string(ThreadPool::kMaxThreads + 1);
+  EXPECT_EXIT(
+      {
+        ::setenv("PPSIM_THREADS", over.c_str(), 1);
+        ThreadPool pool;
+      },
+      testing::ExitedWithCode(2), "PPSIM_THREADS");
+  EXPECT_EXIT(
+      {
+        ::setenv("PPSIM_THREADS", "100000", 1);
+        (void)ThreadPool::default_threads();
+      },
+      testing::ExitedWithCode(2), "exceeds the thread cap");
 }
 
 }  // namespace

@@ -186,7 +186,7 @@ TEST(CampaignServiceTest, SpecDigestSeparatesCampaigns) {
   EXPECT_NE(a.digest(), d.digest());
 }
 
-TEST(CampaignServiceTest, CompletesAndMatchesRunCampaign) {
+TEST(CampaignServiceTest, CompletesAndMatchesMeasureRecovery) {
   CampaignOptions opts;
   opts.threads = 2;
   CampaignService<pl::PlProtocol> svc(make_cells(150, 33), opts);
@@ -202,23 +202,48 @@ TEST(CampaignServiceTest, CompletesAndMatchesRunCampaign) {
   EXPECT_EQ(lines, 6u);
   EXPECT_NE(frames.str().find("\"frame\":\"shard\""), std::string::npos);
 
-  // The folded aggregates are exactly run_campaign's for the same cells
-  // (the service's sharding is output-invisible, like every driver's).
+  // The folded aggregates are exactly measure_recovery's for each cell:
+  // the service's spec-only shard width and the pool fan-out's balanced
+  // width are both output-invisible.
   const auto cells = make_cells(150, 33);
-  const auto reference = analysis::run_campaign<pl::PlProtocol>(
-      std::span<const Cell>(cells));
   const auto got = svc.results();
-  ASSERT_EQ(got.size(), reference.size());
+  ASSERT_EQ(got.size(), cells.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].scenario, reference[i].scenario);
-    EXPECT_EQ(got[i].n, reference[i].n);
-    EXPECT_EQ(got[i].faults, reference[i].faults);
-    EXPECT_EQ(got[i].stats.raw, reference[i].stats.raw);
-    EXPECT_EQ(got[i].stats.trials, reference[i].stats.trials);
+    const auto& [params, spec] = cells[i];
+    const auto reference =
+        analysis::measure_recovery<pl::PlProtocol>(params, spec, 3);
+    EXPECT_EQ(got[i].scenario, spec.name);
+    EXPECT_EQ(got[i].n, params.n);
+    EXPECT_EQ(got[i].faults, analysis::total_faults(spec.schedule));
+    EXPECT_EQ(got[i].stats.raw, reference.raw);
+    EXPECT_EQ(got[i].stats.trials, reference.trials);
     EXPECT_EQ(got[i].stats.stabilization_failures,
-              reference[i].stats.stabilization_failures);
-    EXPECT_EQ(got[i].stats.recovery_failures,
-              reference[i].stats.recovery_failures);
+              reference.stabilization_failures);
+    EXPECT_EQ(got[i].stats.recovery_failures, reference.recovery_failures);
+  }
+}
+
+TEST(CampaignServiceTest, RunCampaignIsTheServiceInMemory) {
+  // run_campaign is the service with an in-memory sink and no checkpoint:
+  // every cell executed, in cell order, with the service's results at any
+  // thread count.
+  CampaignService<pl::PlProtocol> svc(make_cells(70, 36));
+  MemoryFrameSink frames;
+  ASSERT_EQ(svc.run(frames).status, RunStatus::kComplete);
+  const std::string want = render_results(svc.results(), 0);
+  for (int threads : {1, 3}) {
+    const auto results =
+        run_campaign<pl::PlProtocol>(make_cells(70, 36), threads);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].faults, 1);
+    EXPECT_EQ(results[1].faults, 2);
+    for (const auto& r : results) {
+      EXPECT_EQ(r.scenario, "burst");
+      EXPECT_EQ(r.n, 8);
+      EXPECT_EQ(r.stats.trials, 70);
+      EXPECT_EQ(r.stats.recovery_failures, 0);
+    }
+    EXPECT_EQ(render_results(results, 0), want) << "threads=" << threads;
   }
 }
 
@@ -444,6 +469,24 @@ TEST(CampaignServiceTest, BadSchedulerFaultsRefusedAtConstruction) {
   EXPECT_THROW(CampaignService<pl::PlProtocol>(cells, {}),
                std::invalid_argument);
   cells[1].second.sched_faults.arc_weights.assign(8, 1.0);  // n arcs: fine
+  EXPECT_NO_THROW(CampaignService<pl::PlProtocol>(cells, {}));
+}
+
+TEST(CampaignServiceTest, FaultCountsOutsideTheRingRefusedAtConstruction) {
+  // A burst of more than n distinct agents (or of a negative count) cannot
+  // happen as the frame and result "faults" fields would report it.
+  auto cells = make_cells(70, 37);
+  const int n = cells[1].first.n;
+  for (const int faults : {n + 1, -1}) {
+    cells[1].second.schedule = analysis::burst_schedule(faults);
+    EXPECT_THROW(CampaignService<pl::PlProtocol>(cells, {}),
+                 std::invalid_argument)
+        << "faults=" << faults;
+    EXPECT_THROW((void)run_campaign<pl::PlProtocol>(cells, 1),
+                 std::invalid_argument)
+        << "faults=" << faults;
+  }
+  cells[1].second.schedule = analysis::burst_schedule(n);  // every agent
   EXPECT_NO_THROW(CampaignService<pl::PlProtocol>(cells, {}));
 }
 
