@@ -2,61 +2,50 @@
 // in one engine, for the campaign workloads the SS-LE evaluation lives on
 // (thousands of trials per (protocol, n, fault-schedule) cell).
 //
-// Why: a per-trial Runner pays the full dispatch loop per trial, and at small
-// n — exactly where tail statistics need the most trials — per-trial overhead
-// dominates. EnsembleRunner keeps all R rings' agent states in one contiguous
-// struct-of-arrays block (ring r occupies slots [r*n, (r+1)*n)), one
-// RingClock and one Xoshiro256pp stream per ring in parallel arrays, and
-// advances rings in blocks with the ring's RNG and clock copied into locals
-// (register-resident across the block — going through the stored arrays
-// measured ~1.6x slower; the compiler cannot keep pointer-indirected RNG
-// state in registers).
+// Why: a per-trial Runner pays construction and dispatch per trial, and at
+// small n — exactly where tail statistics need the most trials — per-trial
+// overhead dominates. EnsembleRunner keeps all R rings' agent states in one
+// contiguous struct-of-arrays block (ring r occupies slots [r*n, (r+1)*n)),
+// with one RingClock, one main stream and one loss stream per ring in
+// parallel arrays.
 //
-// The campaign win is the *packed-state mode*: protocols that expose a
-// canonical O(1) enumeration of their per-agent state space
-// (num_states / pack_state / unpack_state — the modk baseline does) and take
-// no oracle input get their entire pair-transition function precomputed into
-// a lookup table at construction: one 8-byte entry per (initiator,
-// responder) state pair holding the packed successor states and the census
-// deltas (leader delta, token delta, leader-set-changed bit). The hot loop
-// then runs on a parallel array of 16-bit packed states — one L1 load
-// replaces the branchy transition and all census predicate evaluations, and
-// the branch-misprediction cost of random-scheduler transitions (the
-// dominant per-step cost: a modk step is ~8 ns branchy vs ~1.4 ns of RNG)
-// disappears. Measured ~2x campaign throughput over the per-trial Runner
-// path on small-n modk cells (BENCH_ensemble.json). Full State objects are
-// materialized lazily (per-ring dirty bit) when a predicate or accessor
-// needs them. A ring-interleaved variant of both kernels was tried and
-// rejected: on the reference container register pressure beats the ILP win
-// from overlapping independent RNG chains (0.9-1.1x, vs 2x+ for the packed
-// mode).
+// Lanes. Every protocol runs the generic lane; at most one accelerated
+// lane, chosen by the protocol's shape, runs instead while it can:
+//   * generic — InteractionEngine<P>::run_block, the same block loop (and
+//     the same detail::ArcScheduler, clean or faulted) Runner::run runs;
+//   * LUT (kPackable — modk) — protocols with a canonical O(1) enumeration
+//     of their per-agent states (num_states / pack_state / unpack_state)
+//     and no oracle input get their pair-transition function precomputed
+//     into a table of 8-byte entries (packed successors + census deltas,
+//     computed by the same apply and census predicates): one L1 load per
+//     interaction on a u16 mirror, ~2x campaign throughput on small-n modk
+//     cells (BENCH_ensemble.json);
+//   * word (kWordable — P_PL) — protocols whose whole variable block
+//     bit-slices into one uint64_t run the branchless SIMD kernel
+//     (core::WordGroupDriver) on a u64 mirror. run(k) and run_until_each
+//     advance rings in *cross-ring lockstep*, one SIMD lane per ring; a
+//     trailing partial group of at least WordGroupDriver::
+//     lockstep_min_rings rings runs in lockstep too, its idle lanes parked
+//     on a scratch block of in-domain words (idle_words_).
+// No protocol has both accelerators, so the two share one mirror vector,
+// one fast-lane flag and one encode/decode pair. States are materialized
+// from the mirror lazily (per-ring dirty bit) when a predicate or accessor
+// needs them.
 //
-// Determinism contract: ring r owns *exactly* the RNG stream a standalone
+// Determinism contract: ring r owns *exactly* the streams a standalone
 // Runner<P> constructed with the same seed would own, rings never interact,
-// and every interaction either goes through the shared InteractionEngine<P>
-// fast path or through a table entry precomputed *by that same code path* —
-// so each ring's trajectory, census and clock are bit-identical to the
-// single-ring engine (tests/core/ensemble_test.cpp). The packed mode
-// additionally self-validates: at construction every enumerated state must
-// round-trip pack/unpack and every transition must stay inside the
-// enumerated space, and every state entering the ensemble (add_ring,
-// set_agent) must round-trip — any violation permanently drops the ensemble
-// to the generic path, never to a wrong trajectory. This is what lets
+// and every interaction goes through the shared run_block, a table entry
+// precomputed by the same code path, or a word kernel certified
+// bit-identical to it — so each ring's trajectory, census and clock equal
+// the single-ring engine's (tests/core/ensemble_test.cpp). The accelerated
+// lanes self-validate: the LUT's domain must round-trip pack/unpack and be
+// closed under apply, and every state entering the ensemble (add_ring,
+// set_agent) must round-trip — any violation, and any active scheduler
+// fault model, permanently drops the ensemble to the generic lane, never to
+// a wrong trajectory. This is what lets
 // analysis::detail::ensemble_recovery_shard — the one shard function behind
 // measure_convergence, measure_recovery and service::CampaignService — run
 // trials as ensembles without changing a single published number.
-//
-// The third engine lane is the *word-kernel lane* (core::HasWordKernel —
-// P_PL): protocols whose state space is far too large for the LUT but
-// whose whole variable block bit-slices into one uint64_t run the shared
-// branchless SIMD kernel (core::WordGroupDriver) on a u64 mirror, with the
-// same lazy materialization, delta census and round-trip fallback contract
-// the LUT lane has. run(k) advances rings in *cross-ring lockstep* — one
-// SIMD lane per ring, no disjointness proofs, effective at any n — and
-// run_until_each batches the rings still owed a full check_every block. A
-// trailing partial group of at least WordGroupDriver::lockstep_min_rings
-// rings runs in lockstep too, its idle lanes parked on a scratch block of
-// in-domain words (idle_words_).
 //
 // run_until_each mirrors Runner::run_until per ring (pre-check, then blocks
 // of check_every against a saturated per-ring deadline); converged or
@@ -65,7 +54,7 @@
 // safe set (ScenarioSpec::recovered_is_safe_set) is census-gated — a ring
 // whose leader census is not 1 fails the check unread — and, on the word
 // lane of a protocol with a word-form safe set (HasWordSafeSet: P_PL), a
-// ring whose census is 1 is checked on its slice of the u64 mirror, so the
+// ring whose census is 1 is checked on its slice of the mirror, so the
 // campaign's recovery loop never unpacks a ring.
 #pragma once
 
@@ -74,9 +63,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -133,15 +124,15 @@ class EnsembleRunner {
 
   /// Word-kernel mode (the *kernel lane*): protocols exposing a 64-bit
   /// bit-sliced transition kernel (core::HasWordKernel — P_PL) whose state
-  /// space is far too large for the pair-transition LUT. The hot loop runs
-  /// apply_word on a u64 mirror with the same lazy State materialization,
-  /// delta census and fallback contract the LUT lane has: any state that
-  /// fails the pack/unpack round trip (out of the declared domain) drops
-  /// the ensemble to the generic path, never to a wrong trajectory.
-  /// Ring-only (the driver's endpoint arithmetic and disjointness proofs
-  /// are ring math); the LUT lane, by contrast, is topology-generic.
+  /// space is far too large for the pair-transition LUT. Ring-only (the
+  /// driver's endpoint arithmetic and disjointness proofs are ring math);
+  /// the LUT lane, by contrast, is topology-generic.
   static constexpr bool kWordable =
       WordKernelRunnable<P> && std::is_same_v<Topo, RingTopology>;
+
+  static_assert(!(kPackable && kWordable),
+                "EnsembleRunner: one accelerated lane per protocol (the "
+                "LUT and word lanes share one mirror)");
 
   using WordLayout = typename detail::WordLayoutOf<P>::type;
   using WordConsts = typename detail::WordConstsOf<P>::type;
@@ -154,8 +145,7 @@ class EnsembleRunner {
   explicit EnsembleRunner(Params params, int reserve_rings = 0)
       : params_(std::move(params)),
         topo_(params_.n),
-        bound_(static_cast<std::uint64_t>(topo_.arc_count(P::directed))),
-        threshold_(Xoshiro256pp::rejection_threshold(bound_)) {
+        sched_(static_cast<std::uint64_t>(topo_.arc_count(P::directed))) {
     init_modes(reserve_rings);
   }
 
@@ -163,8 +153,7 @@ class EnsembleRunner {
   EnsembleRunner(Topo topo, Params params, int reserve_rings = 0)
       : params_(std::move(params)),
         topo_(std::move(topo)),
-        bound_(static_cast<std::uint64_t>(topo_.arc_count(P::directed))),
-        threshold_(Xoshiro256pp::rejection_threshold(bound_)) {
+        sched_(static_cast<std::uint64_t>(topo_.arc_count(P::directed))) {
     detail::require_n_agents(static_cast<std::size_t>(topo_.n()), params_.n,
                              "EnsembleRunner: topology");
     init_modes(reserve_rings);
@@ -179,34 +168,21 @@ class EnsembleRunner {
     states_.insert(states_.end(), initial.begin(), initial.end());
     rngs_.emplace_back(seed);
     seeds_.push_back(seed);
-    loss_rngs_.emplace_back(stream_seed(seed, kLossStreamTag));
+    loss_rngs_.emplace_back(stream_seed(seed, streams::kLoss));
     RingClock clk;
     clk.oracle_delay = oracle_delay_;
     Engine::recount(initial, params_, clk);
     clocks_.push_back(clk);
     dirty_.push_back(0);
-    if constexpr (kPackable) {
-      if (lut_active_) {
+    if constexpr (kMirrored) {
+      if (fast_) {
         for (const State& s : initial) {
-          const std::size_t ps = P::pack_state(s, params_);
-          if (ps >= lut_states_ ||
-              !(P::unpack_state(ps, params_) == s)) {
-            deactivate_lut();  // out-of-domain state: generic path, forever
+          const std::optional<Packed> v = encode(s);
+          if (!v) {
+            force_generic_path();  // out-of-domain state: generic, forever
             break;
           }
-          packed_.push_back(static_cast<std::uint16_t>(ps));
-        }
-      }
-    }
-    if constexpr (kWordable) {
-      if (word_active_) {
-        for (const State& s : initial) {
-          const std::uint64_t w = P::pack_word(s, layout_);
-          if (!(P::unpack_word(w, layout_) == s)) {
-            deactivate_word();  // out-of-domain state: generic path, forever
-            break;
-          }
-          words_.push_back(w);
+          mirror_.push_back(*v);
         }
       }
     }
@@ -222,13 +198,13 @@ class EnsembleRunner {
   /// True while the precomputed pair-transition table drives the hot loop
   /// (introspection for tests and benches; trajectories are identical either
   /// way).
-  [[nodiscard]] bool packed_mode() const noexcept { return lut_active_; }
+  [[nodiscard]] bool packed_mode() const noexcept { return kPackable && fast_; }
 
   /// True while the word-packed kernel lane drives the hot loop (P_PL's
   /// bit-sliced apply_word; introspection only — trajectories are identical
   /// to the generic path).
   [[nodiscard]] bool word_kernel_mode() const noexcept {
-    return word_active_;
+    return kWordable && fast_;
   }
 
   /// Always false: the word lane has a single u64 mirror. Kept only
@@ -267,67 +243,57 @@ class EnsembleRunner {
   /// Configure the scheduler fault models for every ring, current and
   /// future (see core::SchedulerFaults and Runner::set_scheduler_faults).
   /// Every ring's loss stream is (re)derived as stream_seed(ring_seed,
-  /// kLossStreamTag),
-  /// so ring r's faulted trajectory stays bit-identical to a standalone
-  /// Runner constructed with the same seed and faults. Active faults
-  /// permanently drop the ensemble to the generic path (the accelerated
-  /// lanes assume the clean uniform scheduler).
+  /// streams::kLoss), so ring r's faulted trajectory stays bit-identical to
+  /// a standalone Runner constructed with the same seed and faults. Active
+  /// faults permanently drop the ensemble to the generic lane (the
+  /// accelerated lanes assume the clean uniform scheduler).
   void set_scheduler_faults(const SchedulerFaults& f) {
-    f.validate(static_cast<std::size_t>(bound_));
-    loss_threshold_ = detail::probability_threshold(f.loss_p);
-    bias_ = f.arc_weights.empty() ? detail::BiasTable{}
-                                  : detail::BiasTable(f.arc_weights);
-    sched_active_ = loss_threshold_ != 0 || !bias_.empty();
+    sched_.configure(f);
     for (std::size_t r = 0; r < seeds_.size(); ++r)
-      loss_rngs_[r] = Xoshiro256pp(stream_seed(seeds_[r], kLossStreamTag));
-    if (sched_active_) force_generic_path();
+      loss_rngs_[r] = Xoshiro256pp(stream_seed(seeds_[r], streams::kLoss));
+    if (sched_.faulted()) force_generic_path();
   }
 
   /// True when a scheduler fault model (loss or bias) is configured.
   [[nodiscard]] bool scheduler_faults_active() const noexcept {
-    return sched_active_;
+    return sched_.faulted();
   }
 
-  /// Permanently leave every accelerated mode (LUT and word kernel; no-op
-  /// when already generic): every subsequent interaction goes through the
-  /// shared InteractionEngine fast path. Trajectories are bit-identical
-  /// either way — this exists so the differential fuzz harness
+  /// Permanently leave the accelerated lane (no-op when already generic):
+  /// materialize every ring's states, then drop the mirror. Every later
+  /// interaction goes through the shared run_block, and trajectories are
+  /// bit-identical either way. Also the demotion of add_ring, set_agent
+  /// and set_scheduler_faults; public so the differential fuzz harness
   /// (src/verification/differential.hpp) can drive the generic and
-  /// accelerated kernels side by side on protocols where the accelerator
-  /// would otherwise always win.
+  /// accelerated lanes side by side.
   void force_generic_path() {
-    deactivate_lut();
-    deactivate_word();
+    if constexpr (kMirrored) {
+      for (int r = 0; r < ring_count(); ++r) sync_ring(r);
+      fast_ = false;
+      mirror_.clear();
+      mirror_.shrink_to_fit();
+      idle_words_.clear();
+      idle_words_.shrink_to_fit();
+    }
   }
 
   /// Fault injection into ring r, delta-census, identical to
-  /// Runner::set_agent. In packed mode the injected state must round-trip
-  /// the packing; otherwise the ensemble drops to the generic path (still
-  /// exact, just slower). Throws std::out_of_range on a bad ring or agent
-  /// index, in every build type (an inject callback's index must never
-  /// write past the ring).
+  /// Runner::set_agent. On an accelerated lane the injected state must
+  /// round-trip the mirror encoding; otherwise the ensemble drops to the
+  /// generic lane (still exact, just slower). Throws std::out_of_range on a
+  /// bad ring or agent index, in every build type (an inject callback's
+  /// index must never write past the ring).
   void set_agent(int r, int i, const State& s) {
     sync_ring(check_ring(r));
     const std::size_t slot = ring_offset(r) + check_agent(i);
     Engine::set_agent(states_[slot], s, params_,
                       clocks_[static_cast<std::size_t>(r)]);
-    if constexpr (kPackable) {
-      if (lut_active_) {
-        const std::size_t ps = P::pack_state(s, params_);
-        if (ps >= lut_states_ || !(P::unpack_state(ps, params_) == s)) {
-          deactivate_lut();
+    if constexpr (kMirrored) {
+      if (fast_) {
+        if (const std::optional<Packed> v = encode(s)) {
+          mirror_[slot] = *v;
         } else {
-          packed_[slot] = static_cast<std::uint16_t>(ps);
-        }
-      }
-    }
-    if constexpr (kWordable) {
-      if (word_active_) {
-        const std::uint64_t w = P::pack_word(s, layout_);
-        if (!(P::unpack_word(w, layout_) == s)) {
-          deactivate_word();
-        } else {
-          words_[slot] = w;
+          force_generic_path();
         }
       }
     }
@@ -339,7 +305,7 @@ class EnsembleRunner {
   /// bit-identical to per-ring advancement, rings share nothing.
   void run(std::uint64_t k) {
     if constexpr (kWordable) {
-      if (word_active_ && k > 0 && ring_count() > 0) {
+      if (fast_ && k > 0 && ring_count() > 0) {
         // Reusable [0, ring_count) index list — grown, never shrunk, so
         // campaigns interleaving many small run(k) blocks with faults pay
         // no per-call allocation.
@@ -391,9 +357,10 @@ class EnsembleRunner {
   /// Subset form: only the rings listed in `rings` participate (the others
   /// do not advance). `hits` must span ring_count(); a participating ring's
   /// entry gets its hit step or npos, entries of non-participating rings
-  /// are left untouched. Throws
-  /// std::invalid_argument, in every build type, when it does not: a short
-  /// span would be written past its end.
+  /// are left untouched. Throws std::invalid_argument, in every build
+  /// type, when `hits` has the wrong size (a short span would be written
+  /// past its end) or a ring id is listed twice (the lanes would advance
+  /// it once or twice per pass); std::out_of_range on a bad ring id.
   template <typename Pred>
   void run_until_each(std::vector<int> rings, Pred&& pred,
                       std::uint64_t max_steps, std::uint64_t check_every,
@@ -410,6 +377,18 @@ class EnsembleRunner {
             "EnsembleRunner::run_until_each: safe-set declaration on a "
             "protocol without a leader census");
     }
+    // Per-ring deadline, indexed by ring id (mirrors Runner::run_until's
+    // saturated `steps + max_steps` computed at entry). Until the pre-check
+    // sets it, a non-zero entry marks a ring id already listed.
+    std::vector<std::uint64_t> deadline(clocks_.size(), 0);
+    for (int r : rings) {
+      std::uint64_t& seen = deadline[static_cast<std::size_t>(check_ring(r))];
+      if (seen != 0)
+        throw std::invalid_argument(
+            "EnsembleRunner::run_until_each: ring " + std::to_string(r) +
+            " listed twice");
+      seen = 1;
+    }
     if (check_every == 0)
       check_every = static_cast<std::uint64_t>(params_.n);
     const auto holds = [&](int r) -> bool {
@@ -417,23 +396,20 @@ class EnsembleRunner {
         if (clocks_[static_cast<std::size_t>(r)].leader_count != 1)
           return false;
         if constexpr (kWordable && HasWordSafeSet<P>) {
-          if (word_active_)
+          if (fast_)
             return P::is_safe_words(
-                {words_.data() + ring_offset(r),
+                {mirror_.data() + ring_offset(r),
                  static_cast<std::size_t>(params_.n)},
                 layout_, params_);
         }
       }
       return pred(agents(r), params_);
     };
-    // Per-ring deadline, indexed by ring id (mirrors Runner::run_until's
-    // saturated `steps + max_steps` computed at entry).
-    std::vector<std::uint64_t> deadline(clocks_.size(), 0);
     // Pre-check: a ring already satisfying the predicate hits at its current
     // step without consuming any randomness.
     std::size_t w = 0;
     for (int r : rings) {
-      const auto ri = static_cast<std::size_t>(check_ring(r));
+      const auto ri = static_cast<std::size_t>(r);
       if (holds(r)) {
         hits[ri] = clocks_[ri].steps;
         continue;
@@ -443,36 +419,26 @@ class EnsembleRunner {
     }
     rings.resize(w);
 
-    [[maybe_unused]] std::vector<int> batch;  // word lane: full-size blocks
+    std::vector<int> batch;  // word lane: rings owed a full block
     while (!rings.empty()) {
       // One pass: advance every active ring by min(check_every, remaining)
       // interactions, check, retire, compact. In word-kernel mode the rings
       // still owed a full check_every block (the common case away from
       // deadlines) advance in one cross-ring lockstep batch; everything
-      // else goes through the one shared per-ring loop.
-      bool advanced = false;
-      if constexpr (kWordable) {
-        if (word_active_) {
-          batch.clear();
-          for (int r : rings) {
-            const auto ri = static_cast<std::size_t>(r);
-            if (deadline[ri] - clocks_[ri].steps >= check_every)
-              batch.push_back(r);
-            else
-              advance_ring(r, deadline[ri] - clocks_[ri].steps);
-          }
-          if (!batch.empty())
-            advance_rings_word(batch, static_cast<int>(batch.size()),
-                               check_every);
-          advanced = true;
-        }
+      // else goes through the per-ring advance_ring.
+      batch.clear();
+      for (int r : rings) {
+        const auto ri = static_cast<std::size_t>(r);
+        const std::uint64_t left = deadline[ri] - clocks_[ri].steps;
+        if (word_kernel_mode() && left >= check_every)
+          batch.push_back(r);
+        else
+          advance_ring(r, std::min(check_every, left));
       }
-      if (!advanced) {
-        for (int r : rings) {
-          const auto ri = static_cast<std::size_t>(r);
-          advance_ring(r, std::min<std::uint64_t>(
-                              check_every, deadline[ri] - clocks_[ri].steps));
-        }
+      if constexpr (kWordable) {
+        if (!batch.empty())
+          advance_rings_word(batch, static_cast<int>(batch.size()),
+                             check_every);
       }
       w = 0;
       for (int r : rings) {
@@ -492,8 +458,13 @@ class EnsembleRunner {
   }
 
  private:
-  /// Shared constructor tail: storage reservation and accelerator-mode
-  /// probing (LUT, then the ring-only word lane).
+  /// Either accelerated lane keeps a mirror of states_ (same layout): a
+  /// 16-bit LUT index per agent, or a 64-bit word.
+  static constexpr bool kMirrored = kPackable || kWordable;
+  using Packed = std::conditional_t<kWordable, std::uint64_t, std::uint16_t>;
+
+  /// Shared constructor tail: storage reservation and accelerator probing
+  /// (the LUT build, or the ring-only word lane's layout checks).
   void init_modes(int reserve_rings) {
     if (reserve_rings > 0) {
       const auto r = static_cast<std::size_t>(reserve_rings);
@@ -503,15 +474,40 @@ class EnsembleRunner {
     }
     if constexpr (kPackable) build_lut();
     if constexpr (kWordable) {
-      if (!lut_active_) {
-        layout_ = P::word_layout(params_);
-        // WordGroupDriver's census reads the leader output straight off
-        // bit 0 of each word; a layout with the flag anywhere else stays
-        // generic instead of corrupting the leader census.
-        word_active_ = layout_.fits() && P::word_leader(1, layout_) &&
-                       !P::word_leader(0, layout_);
-        if (word_active_) consts_ = P::make_word_consts(layout_);
-      }
+      layout_ = P::word_layout(params_);
+      // WordGroupDriver's census reads the leader output straight off bit 0
+      // of each word; a layout with the flag anywhere else stays generic
+      // instead of corrupting the leader census.
+      fast_ = layout_.fits() && P::word_leader(1, layout_) &&
+              !P::word_leader(0, layout_);
+      if (fast_) consts_ = P::make_word_consts(layout_);
+    }
+  }
+
+  /// Mirror encoding of `s`, or nullopt when `s` is outside the lane's
+  /// domain (it fails the pack/unpack round trip).
+  [[nodiscard]] std::optional<Packed> encode(const State& s) const
+    requires(kMirrored)
+  {
+    if constexpr (kWordable) {
+      const std::uint64_t w = P::pack_word(s, layout_);
+      if (!(P::unpack_word(w, layout_) == s)) return std::nullopt;
+      return w;
+    } else {
+      const std::size_t ps = P::pack_state(s, params_);
+      if (ps >= lut_states_ || !(P::unpack_state(ps, params_) == s))
+        return std::nullopt;
+      return static_cast<std::uint16_t>(ps);
+    }
+  }
+
+  [[nodiscard]] State decode(Packed v) const
+    requires(kMirrored)
+  {
+    if constexpr (kWordable) {
+      return P::unpack_word(v, layout_);
+    } else {
+      return P::unpack_state(v, params_);
     }
   }
 
@@ -609,144 +605,55 @@ class EnsembleRunner {
       }
     }
     lut_states_ = S;
-    lut_active_ = true;
+    fast_ = true;
   }
 
-  /// Leave packed mode permanently: materialize every ring's states, then
-  /// drop the packed mirror. Trajectories continue on the generic path.
-  void deactivate_lut() {
-    for (int r = 0; r < ring_count(); ++r) sync_ring(r);
-    lut_active_ = false;
-    packed_.clear();
-    packed_.shrink_to_fit();
-  }
-
-  /// Leave the word-kernel lane permanently, same contract as
-  /// deactivate_lut.
-  void deactivate_word() {
-    for (int r = 0; r < ring_count(); ++r) sync_ring(r);
-    word_active_ = false;
-    words_.clear();
-    words_.shrink_to_fit();
-    idle_words_.clear();
-    idle_words_.shrink_to_fit();
-  }
-
-  /// Materialize ring r's State block from the active accelerator mirror if
-  /// stale. dirty_ is only ever set by the accelerator hot loops, so at most
-  /// one mirror can be the stale ring's source of truth.
+  /// Materialize ring r's State block from the mirror if stale. dirty_ is
+  /// only ever set by the accelerated hot loops and force_generic_path
+  /// syncs every ring before dropping the mirror, so a dirty ring always
+  /// has a live mirror.
   void sync_ring(int r) const {
-    if constexpr (kPackable || kWordable) {
+    if constexpr (kMirrored) {
       const auto ri = static_cast<std::size_t>(r);
       if (!dirty_[ri]) return;
       const std::size_t off = ring_offset(r);
-      if constexpr (kPackable) {
-        if (lut_active_) {
-          for (int i = 0; i < params_.n; ++i) {
-            states_[off + static_cast<std::size_t>(i)] = P::unpack_state(
-                packed_[off + static_cast<std::size_t>(i)], params_);
-          }
-          dirty_[ri] = 0;
-          return;
-        }
-      }
-      if constexpr (kWordable) {
-        if (word_active_) {
-          for (int i = 0; i < params_.n; ++i) {
-            states_[off + static_cast<std::size_t>(i)] = P::unpack_word(
-                words_[off + static_cast<std::size_t>(i)], layout_);
-          }
-          dirty_[ri] = 0;
-        }
-      }
+      for (std::size_t i = 0; i < static_cast<std::size_t>(params_.n); ++i)
+        states_[off + i] = decode(mirror_[off + i]);
+      dirty_[ri] = 0;
     }
   }
 
   void advance_ring(int r, std::uint64_t k) {
     if (k == 0) return;
-    if constexpr (kPackable) {
-      if (lut_active_) {
-        advance_ring_packed(r, k);
-        return;
-      }
-    }
-    if constexpr (kWordable) {
-      if (word_active_) {
-        advance_ring_word(r, k);
-        return;
-      }
-    }
-    advance_ring_generic(r, k);
-  }
-
-  /// Generic block: the shared InteractionEngine fast path, with the ring's
-  /// RNG and clock in locals for the duration of the block (the compiler
-  /// keeps them in registers; through the arrays they reload every step).
-  /// [[gnu::flatten]] pins the full inlining of apply_arc_batched and the
-  /// RNG into this block regardless of translation-unit size: in a TU that
-  /// instantiates several protocols' engines (bench/ensemble_json.cpp),
-  /// GCC's unit-growth budget otherwise stops inlining here and the
-  /// ensemble lane measures ~0.75x of the per-trial Runner while the
-  /// stand-alone instantiation measures ~1.05x — the PR-3
-  /// BENCH_ensemble.json yokota28 regression was exactly this artifact.
-  [[gnu::flatten]] void advance_ring_generic(int r, std::uint64_t k) {
-    State* const agents = states_.data() + ring_offset(r);
-    const auto ri = static_cast<std::size_t>(r);
-    // bound_/threshold_/topo_ hoisted into locals for the same reason
-    // rng/clk are: the loop's byte-sized state stores may alias *this under
-    // the strict aliasing rules (unsigned char writes alias everything), so
-    // the member loads would otherwise be re-issued every iteration —
-    // measured as the per-trial-Runner-vs-ensemble gap on yokota28
-    // (README.md, BENCH_ensemble.json).
-    const std::uint64_t bound = bound_;
-    const std::uint64_t threshold = threshold_;
-    const Topo topo = topo_;
-    Xoshiro256pp rng = rngs_[ri];
-    RingClock clk = clocks_[ri];
-    if (!sched_active_) {
-      for (std::uint64_t i = 0; i < k; ++i) {
-        Engine::apply_arc_batched(
-            agents,
-            topo.endpoints(static_cast<int>(
-                rng.bounded_with_threshold(bound, threshold))),
-            params_, clk);
-      }
-    } else {
-      // Faulted-scheduler loop, kept out of the clean loop so its codegen
-      // is untouched. Same draws (and the same loss stream consumption) as
-      // Runner's faulted scalar loop.
-      const std::uint64_t loss_threshold = loss_threshold_;
-      Xoshiro256pp loss_rng = loss_rngs_[ri];
-      for (std::uint64_t i = 0; i < k; ++i) {
-        const int arc = bias_.empty()
-                            ? static_cast<int>(rng.bounded_with_threshold(
-                                  bound, threshold))
-                            : bias_.draw(rng);
-        if (loss_threshold != 0 && loss_rng() < loss_threshold) {
-          ++clk.steps;
-          continue;
+    if constexpr (kMirrored) {
+      if (fast_) {
+        if constexpr (kWordable) {
+          advance_ring_word(r, k);
+        } else {
+          advance_ring_packed(r, k);
         }
-        Engine::apply_arc_batched(agents, topo.endpoints(arc), params_, clk);
+        return;
       }
-      loss_rngs_[ri] = loss_rng;
     }
-    rngs_[ri] = rng;
-    clocks_[ri] = clk;
+    const auto ri = static_cast<std::size_t>(r);
+    Engine::run_block(states_.data() + ring_offset(r), topo_, params_, sched_,
+                      rngs_[ri], loss_rngs_[ri], clocks_[ri], k);
   }
 
   /// Packed block: one table load per interaction on the u16 mirror; the
   /// census updates replay exactly what census_after computes (the deltas
   /// were precomputed by it, entry by entry). States go stale until the next
-  /// sync_ring.
+  /// sync_ring. Locals and [[gnu::flatten]] for the reasons given at
+  /// InteractionEngine::run_block.
   [[gnu::flatten]] void advance_ring_packed(int r, std::uint64_t k)
     requires(kPackable)
   {
     const auto ri = static_cast<std::size_t>(r);
-    std::uint16_t* const packed = packed_.data() + ring_offset(r);
+    std::uint16_t* const packed = mirror_.data() + ring_offset(r);
     const LutEntry* const lut = lut_.data();
     const std::size_t S = lut_states_;
-    const std::uint64_t bound = bound_;
-    const std::uint64_t threshold = threshold_;
+    const std::uint64_t bound = sched_.bound();
+    const std::uint64_t threshold = sched_.threshold();
     Xoshiro256pp rng = rngs_[ri];
     RingClock clk = clocks_[ri];
     const Topo topo = topo_;
@@ -784,9 +691,9 @@ class EnsembleRunner {
     requires(kWordable)
   {
     const auto ri = static_cast<std::size_t>(r);
-    WordGroupDriver<P>::run_block(words_.data() + ring_offset(r), params_.n,
-                                  bound_, threshold_, rngs_[ri], clocks_[ri],
-                                  consts_, k);
+    WordGroupDriver<P>::run_block(mirror_.data() + ring_offset(r), params_.n,
+                                  sched_.bound(), sched_.threshold(),
+                                  rngs_[ri], clocks_[ri], consts_, k);
     dirty_[ri] = 1;
   }
 
@@ -804,12 +711,12 @@ class EnsembleRunner {
     if (idle_words_.empty()) {
       idle_words_.reserve(WordGroupDriver<P>::kMaxIdleLanes * n);
       for (int j = 0; j < WordGroupDriver<P>::kMaxIdleLanes; ++j)
-        idle_words_.insert(idle_words_.end(), words_.begin(),
-                           words_.begin() + static_cast<std::ptrdiff_t>(n));
+        idle_words_.insert(idle_words_.end(), mirror_.begin(),
+                           mirror_.begin() + static_cast<std::ptrdiff_t>(n));
     }
     WordGroupDriver<P>::run_rings_block(
-        words_.data(), n, rings.data(), nrings, params_.n, bound_,
-        threshold_, rngs_.data(), clocks_.data(), consts_, k,
+        mirror_.data(), n, rings.data(), nrings, params_.n, sched_.bound(),
+        sched_.threshold(), rngs_.data(), clocks_.data(), consts_, k,
         idle_words_.data());
     for (int i = 0; i < nrings; ++i)
       dirty_[static_cast<std::size_t>(
@@ -818,33 +725,27 @@ class EnsembleRunner {
 
   Params params_;
   Topo topo_;  ///< after params_: the (Params, int) ctor builds it from .n
-  std::uint64_t bound_;
-  std::uint64_t threshold_;
+  detail::ArcScheduler sched_;  ///< after topo_: built from its arc count
   std::uint64_t oracle_delay_ = 0;
   std::vector<std::uint64_t> seeds_;     ///< per-ring origin seeds
   std::vector<Xoshiro256pp> loss_rngs_;  ///< per-ring omission streams
-  detail::BiasTable bias_;               ///< non-empty = biased distribution
-  std::uint64_t loss_threshold_ = 0;     ///< 0 = omission model off
-  bool sched_active_ = false;            ///< any scheduler fault model on
-  /// Ring r's states at [r*n, (r+1)*n). In packed mode this block is a
-  /// lazily refreshed materialization of `packed_` (see `dirty_`), hence
-  /// mutable: accessors are logically const.
+  /// Ring r's states at [r*n, (r+1)*n). On an accelerated lane this block
+  /// is a lazily refreshed materialization of `mirror_` (see `dirty_`),
+  /// hence mutable: accessors are logically const.
   mutable std::vector<State> states_;
   std::vector<RingClock> clocks_;   ///< parallel to rings
   std::vector<Xoshiro256pp> rngs_;  ///< parallel to rings
-  mutable std::vector<std::uint8_t> dirty_;  ///< states_ stale vs packed_
-  std::vector<LutEntry> lut_;       ///< S*S pair table (packed mode)
-  std::vector<std::uint16_t> packed_;  ///< u16 mirror of states_, same layout
+  mutable std::vector<std::uint8_t> dirty_;  ///< states_ stale vs mirror_
+  std::vector<Packed> mirror_;  ///< accelerated lane's copy of states_
+  bool fast_ = false;           ///< an accelerated lane drives the hot loop
+  std::vector<LutEntry> lut_;   ///< S*S pair table (LUT lane)
   std::size_t lut_states_ = 0;
-  bool lut_active_ = false;
   WordLayout layout_{};             ///< valid only in word-kernel mode
   WordConsts consts_{};             ///< kernel constants (word-kernel mode)
-  std::vector<std::uint64_t> words_;  ///< u64 mirror of states_, same layout
   /// Parking slices for the idle lanes of a padded lockstep group
   /// (WordGroupDriver::kMaxIdleLanes * n words, allocated at first use).
   std::vector<std::uint64_t> idle_words_;
   std::vector<int> all_rings_;      ///< reusable [0, ring_count) id list
-  bool word_active_ = false;        ///< word-kernel lane drives the hot loop
 };
 
 /// Mutable view of one *running* ring — the engine-agnostic surface fault

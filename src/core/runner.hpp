@@ -28,41 +28,35 @@
 //
 // Two scheduler paths share one RNG stream and are bit-identical:
 //
-//  * `run_unbatched(k)` — the reference path: one `bounded()` draw per step,
-//    unconditional before/after predicate census (the engine as originally
-//    written).
-//  * `run(k)` — the fused fast path: amortized Lemire bounded sampling (the
-//    rejection threshold is hoisted out of the loop; block sampling into a
-//    caller buffer is also available as `Xoshiro256pp::fill_bounded`, but
-//    draining the generator's serial dependency chain up front measured
-//    slower than fusing it into the transition loop — see README.md), plus a
-//    *delta census*: small trivially-copyable states are snapshotted into a
-//    64-bit image before the transition, and when the interaction was a
-//    no-op (bitwise-equal states — the common case for the O(1)-state
-//    baselines once stabilized) the census math and all four predicate
-//    re-evaluations are skipped entirely; otherwise the snapshot supplies
-//    the "before" predicate values. Protocols without leader/token outputs
-//    compile down to a bare draw-and-apply loop.
+//  * `run_unbatched(k)` / `step()` — the reference path: one `bounded()`
+//    draw per step, unconditional before/after predicate census (the engine
+//    as originally written).
+//  * `run(k)` — the block loop `InteractionEngine<P>::run_block`: the
+//    Lemire rejection threshold hoisted out of the loop (block sampling
+//    into a caller buffer, `Xoshiro256pp::fill_bounded`, measured slower
+//    than fusing the draw into the transition loop — see README.md), plus a
+//    *delta census* that skips the census math on no-op interactions. The
+//    same function is EnsembleRunner's generic lane (core/ensemble.hpp).
 //
-// Both paths maintain identical census values at every step (a no-op
-// interaction cannot change any count), so any mix of step()/run()/
-// run_unbatched() produces the same trajectory (tests/core/batch_test.cpp).
+// Both paths maintain identical census values at every step, so any mix of
+// step()/run()/run_unbatched() produces the same trajectory
+// (tests/core/batch_test.cpp).
 //
-// The per-interaction core (transition dispatch, delta census, fault
-// injection, recount) is factored into `InteractionEngine<P>` operating on a
-// raw agent array plus a `RingClock`, so `Runner` (one ring) and
-// `EnsembleRunner` (core/ensemble.hpp, R rings in one struct-of-arrays
-// block) execute literally the same code per interaction — per-ring
-// bit-identity between the two engines is by construction, then pinned by
-// tests/core/ensemble_test.cpp.
+// The scheduler's draw model — uniform arcs, or the fault models of
+// SchedulerFaults (biased arcs, omission loss) — is one
+// `detail::ArcScheduler`, and the per-interaction core (transition
+// dispatch, delta census, fault injection, recount) is
+// `InteractionEngine<P>` on a raw agent array plus a `RingClock`. Runner
+// (one ring) and EnsembleRunner (R rings in one struct-of-arrays block)
+// share both, so per-ring bit-identity between the two engines holds by
+// construction and is pinned by tests/core/ensemble_test.cpp.
 //
 // Runner is the scalar reference engine: it never runs a word-packed
 // kernel. Protocols with one (HasWordKernel — P_PL) run it through
-// EnsembleRunner (core/ensemble.hpp), whose word lane drives the shared
-// WordGroupDriver below (grouped SIMD execution of scheduler-disjoint
-// interactions, ISA dispatched at runtime); the differential fuzz matrix
-// certifies that lane against this engine. See the README's "Word-packed
-// P_PL fast path" for the design and the measured trajectory.
+// EnsembleRunner, whose word lane drives the WordGroupDriver below
+// (grouped SIMD execution, ISA dispatched at runtime); the differential
+// fuzz matrix certifies that lane against this engine. See the README's
+// "Word-packed P_PL fast path".
 #pragma once
 
 #include <algorithm>
@@ -106,13 +100,6 @@ struct InteractionContext {
   bool no_leader = false;
   bool no_token = false;
 };
-
-/// Stream-derivation tag for the omission/message-loss stream: a runner
-/// seeded with `seed` draws its loss events from
-/// Xoshiro256pp(stream_seed(seed, kLossStreamTag)), decorrelated from the
-/// arc-draw stream. The value lives in the stream-tag registry
-/// (core/stream_tags.hpp); this alias keeps the historical name.
-inline constexpr std::uint64_t kLossStreamTag = streams::kLoss;
 
 namespace detail {
 
@@ -198,11 +185,11 @@ class BiasTable {
 ///
 ///  * Omission / message loss: each drawn interaction is lost (the step
 ///    counts, the clock advances, but no transition fires) with probability
-///    `loss_p`. Loss events come from a dedicated stream (seed ^
-///    kLossStreamTag), so enabling loss does not perturb the arc-draw
-///    stream: the surviving interactions are exactly a subsequence of the
-///    clean schedule, and per-trial determinism (same seed, same faulted
-///    trajectory, any thread count) is preserved.
+///    `loss_p`. Loss events come from a dedicated stream
+///    (stream_seed(seed, streams::kLoss)), so enabling loss does not perturb
+///    the arc-draw stream: the surviving interactions are exactly a
+///    subsequence of the clean schedule, and per-trial determinism (same
+///    seed, same faulted trajectory, any thread count) is preserved.
 ///  * Biased arc distribution: `arc_weights[arc]` proportional to the draw
 ///    probability (size must equal the engine's arc_count; empty keeps the
 ///    uniform scheduler). Biased draws consume exactly one raw 64-bit value
@@ -211,7 +198,7 @@ class BiasTable {
 /// Active faults pin EnsembleRunner to its generic lane — the word kernel's
 /// grouped draws and the LUT lane assume the clean uniform scheduler.
 /// Deterministic scheduling entry points (apply_arc, apply_sequence) always
-/// bypass faults.
+/// bypass faults; Runner::run_observed refuses them.
 struct SchedulerFaults {
   double loss_p = 0.0;
   std::vector<double> arc_weights;
@@ -336,6 +323,55 @@ template <typename P>
   requires HasWordKernel<P>
 struct WordConstsOf<P> {
   using type = typename P::WordKernelConsts;
+};
+
+/// The scheduler draw model of both engines: the uniform arc draw (bound
+/// and hoisted Lemire threshold) plus the fault models of a validated
+/// SchedulerFaults — the biased-arc table and the omission threshold. One
+/// per Runner, one per EnsembleRunner (shared by all its rings; each ring
+/// keeps its own main and loss streams).
+class ArcScheduler {
+ public:
+  explicit ArcScheduler(std::uint64_t arc_count) noexcept
+      : bound_(arc_count),
+        threshold_(Xoshiro256pp::rejection_threshold(arc_count)) {}
+
+  /// Adopt `f` after SchedulerFaults::validate against this arc count
+  /// (throws std::invalid_argument, leaving the model unchanged).
+  void configure(const SchedulerFaults& f) {
+    f.validate(static_cast<std::size_t>(bound_));
+    loss_threshold_ = probability_threshold(f.loss_p);
+    bias_ = f.arc_weights.empty() ? BiasTable{} : BiasTable(f.arc_weights);
+  }
+
+  /// True when a fault model (loss or bias) is on.
+  [[nodiscard]] bool faulted() const noexcept {
+    return loss_threshold_ != 0 || !bias_.empty();
+  }
+  [[nodiscard]] std::uint64_t bound() const noexcept { return bound_; }
+  [[nodiscard]] std::uint64_t threshold() const noexcept { return threshold_; }
+  [[nodiscard]] std::uint64_t loss_threshold() const noexcept {
+    return loss_threshold_;
+  }
+  [[nodiscard]] const BiasTable& bias() const noexcept { return bias_; }
+
+  /// One arc draw at step() granularity (no hoisted threshold; the same
+  /// stream values as the hoisted form).
+  [[nodiscard]] int draw(Xoshiro256pp& rng) const {
+    return bias_.empty() ? static_cast<int>(rng.bounded(bound_))
+                         : bias_.draw(rng);
+  }
+
+  /// Consume one loss draw iff the omission model is on; true = lost.
+  [[nodiscard]] bool lost(Xoshiro256pp& loss_rng) const noexcept {
+    return loss_threshold_ != 0 && loss_rng() < loss_threshold_;
+  }
+
+ private:
+  std::uint64_t bound_;
+  std::uint64_t threshold_;
+  BiasTable bias_;                    ///< non-empty = biased distribution
+  std::uint64_t loss_threshold_ = 0;  ///< 0 = omission model off
 };
 }  // namespace detail
 
@@ -511,6 +547,54 @@ struct InteractionEngine {
                          (P::has_token(slot, params) ? 1 : 0);
     }
     slot = s;
+  }
+
+  /// The block loop of both engines (Runner::run, EnsembleRunner's generic
+  /// lane): `k` scheduler draws on one ring, each applied by
+  /// apply_arc_batched. The faulted loop is kept apart so the clean loop's
+  /// codegen is untouched; it draws the arc, then the loss coin (a lost
+  /// draw advances the clock only). Streams, clock and scheduler fields
+  /// live in locals for the block: byte-sized state stores may alias
+  /// anything, so values behind a pointer reload every step (measured
+  /// ~1.6x slower). [[gnu::flatten]] keeps apply_arc_batched and the RNG
+  /// inlined in TUs that instantiate many engines, where GCC's unit-growth
+  /// budget otherwise stops (README, "phantom 0.75x").
+  template <typename Topo>
+  [[gnu::flatten]] static void run_block(
+      State* agents, const Topo& topology, const Params& params,
+      const detail::ArcScheduler& sched, Xoshiro256pp& rng_io,
+      Xoshiro256pp& loss_rng_io, RingClock& clk_io, std::uint64_t k) {
+    const std::uint64_t bound = sched.bound();
+    const std::uint64_t threshold = sched.threshold();
+    const Topo topo = topology;
+    Xoshiro256pp rng = rng_io;
+    RingClock clk = clk_io;
+    if (!sched.faulted()) {
+      for (std::uint64_t i = 0; i < k; ++i) {
+        apply_arc_batched(agents,
+                          topo.endpoints(static_cast<int>(
+                              rng.bounded_with_threshold(bound, threshold))),
+                          params, clk);
+      }
+    } else {
+      const std::uint64_t loss_threshold = sched.loss_threshold();
+      const detail::BiasTable& bias = sched.bias();
+      Xoshiro256pp loss_rng = loss_rng_io;
+      for (std::uint64_t i = 0; i < k; ++i) {
+        const int arc = bias.empty()
+                            ? static_cast<int>(rng.bounded_with_threshold(
+                                  bound, threshold))
+                            : bias.draw(rng);
+        if (loss_threshold != 0 && loss_rng() < loss_threshold) {
+          ++clk.steps;
+          continue;
+        }
+        apply_arc_batched(agents, topo.endpoints(arc), params, clk);
+      }
+      loss_rng_io = loss_rng;
+    }
+    rng_io = rng;
+    clk_io = clk;
   }
 
   /// Full census recount (construction / ground-truth cross-checks).
@@ -1278,7 +1362,8 @@ class Runner {
         topo_(params_.n),
         agents_(std::move(initial)),
         rng_(seed),
-        seed_(seed) {
+        seed_(seed),
+        sched_(static_cast<std::uint64_t>(topo_.arc_count(P::directed))) {
     init_engine();
   }
 
@@ -1289,7 +1374,8 @@ class Runner {
         topo_(std::move(topo)),
         agents_(std::move(initial)),
         rng_(seed),
-        seed_(seed) {
+        seed_(seed),
+        sched_(static_cast<std::uint64_t>(topo_.arc_count(P::directed))) {
     detail::require_n_agents(static_cast<std::size_t>(topo_.n()), params_.n,
                              "Runner: topology");
     init_engine();
@@ -1345,73 +1431,35 @@ class Runner {
 
   /// Configure the scheduler fault models (see SchedulerFaults). Resets the
   /// loss stream to its trial-derived origin (stream_seed(seed,
-  /// kLossStreamTag)), so configuring faults then running is deterministic
+  /// streams::kLoss)), so configuring faults then running is deterministic
   /// per seed.
   void set_scheduler_faults(const SchedulerFaults& f) {
-    f.validate(static_cast<std::size_t>(arc_count()));
-    loss_threshold_ = detail::probability_threshold(f.loss_p);
-    bias_ = f.arc_weights.empty() ? detail::BiasTable{}
-                                  : detail::BiasTable(f.arc_weights);
-    sched_active_ = loss_threshold_ != 0 || !bias_.empty();
-    loss_rng_ = Xoshiro256pp(stream_seed(seed_, kLossStreamTag));
+    sched_.configure(f);
+    loss_rng_ = Xoshiro256pp(stream_seed(seed_, streams::kLoss));
   }
 
   /// True when a scheduler fault model (loss or bias) is configured.
   [[nodiscard]] bool scheduler_faults_active() const noexcept {
-    return sched_active_;
+    return sched_.faulted();
   }
 
-  /// Execute a single uniformly random interaction.
+  /// Execute a single scheduler interaction (the reference path: arc draw
+  /// without the hoisted threshold, then the loss coin when loss is on).
   void step() {
-    if (!sched_active_) {
-      Engine::apply_arc(agents_.data(),
-                        topo_.endpoints(static_cast<int>(
-                            rng_.bounded(arc_count()))),
-                        params_, clk_);
-      return;
-    }
-    const int arc = draw_faulted_arc();
-    if (lose_draw()) {
+    const int arc = sched_.draw(rng_);
+    if (sched_.lost(loss_rng_)) {
       ++clk_.steps;
       return;
     }
     Engine::apply_arc(agents_.data(), topo_.endpoints(arc), params_, clk_);
   }
 
-  /// Execute `k` uniformly random interactions through the fused fast path
-  /// (hoisted Lemire threshold, delta census) — bit-identical to
-  /// run_unbatched(k).
+  /// Execute `k` scheduler interactions through the shared block loop
+  /// (InteractionEngine::run_block: hoisted Lemire threshold, delta
+  /// census) — bit-identical to run_unbatched(k).
   void run(std::uint64_t k) {
-    const auto bound = static_cast<std::uint64_t>(arc_count());
-    const std::uint64_t threshold = Xoshiro256pp::rejection_threshold(bound);
-    State* const agents = agents_.data();
-    // Local topology copy: byte stores through `agents` could alias the
-    // member under TBAA and force per-iteration reloads of the endpoint
-    // arithmetic's inputs (same reasoning as EnsembleRunner's hoisted
-    // locals).
-    const Topo topo = topo_;
-    if (!sched_active_) {
-      for (std::uint64_t i = 0; i < k; ++i) {
-        Engine::apply_arc_batched(
-            agents,
-            topo.endpoints(static_cast<int>(
-                rng_.bounded_with_threshold(bound, threshold))),
-            params_, clk_);
-      }
-      return;
-    }
-    // Faulted loop, kept separate so the clean loop's codegen is untouched.
-    for (std::uint64_t i = 0; i < k; ++i) {
-      const int arc =
-          bias_.empty()
-              ? static_cast<int>(rng_.bounded_with_threshold(bound, threshold))
-              : bias_.draw(rng_);
-      if (lose_draw()) {
-        ++clk_.steps;
-        continue;
-      }
-      Engine::apply_arc_batched(agents, topo.endpoints(arc), params_, clk_);
-    }
+    Engine::run_block(agents_.data(), topo_, params_, sched_, rng_, loss_rng_,
+                      clk_, k);
   }
 
   /// Execute `k` uniformly random interactions one draw at a time with the
@@ -1463,8 +1511,13 @@ class Runner {
   }
 
   /// Run `k` steps invoking `observer(runner, arc)` after every interaction.
+  /// Clean scheduler only: throws std::logic_error, in every build type,
+  /// when a fault model is configured (a lost draw has no arc to report).
   template <typename Observer>
   void run_observed(std::uint64_t k, Observer&& observer) {
+    if (sched_.faulted())
+      throw std::logic_error(
+          "Runner::run_observed: scheduler faults are configured");
     for (std::uint64_t i = 0; i < k; ++i) {
       const int arc = static_cast<int>(rng_.bounded(arc_count()));
       Engine::apply_arc(agents_.data(), topo_.endpoints(arc), params_, clk_);
@@ -1480,29 +1533,13 @@ class Runner {
     Engine::recount(agents_, params_, clk_);
   }
 
-  /// One faulted-scheduler arc draw at step() granularity (no hoisted
-  /// Lemire threshold; same stream values as the hoisted form).
-  [[nodiscard]] int draw_faulted_arc() {
-    return bias_.empty()
-               ? static_cast<int>(
-                     rng_.bounded(static_cast<std::uint64_t>(arc_count())))
-               : bias_.draw(rng_);
-  }
-
-  /// Consume one loss draw iff the omission model is on; true = lost.
-  [[nodiscard]] bool lose_draw() {
-    return loss_threshold_ != 0 && loss_rng_() < loss_threshold_;
-  }
-
   Params params_;
   Topo topo_;  ///< after params_: the default ctor builds it from params_.n
   std::vector<State> agents_;
   Xoshiro256pp rng_;
-  std::uint64_t seed_ = 0;          ///< origin seed (loss-stream derivation)
+  std::uint64_t seed_ = 0;   ///< origin seed (loss-stream derivation)
   Xoshiro256pp loss_rng_{};  ///< placeholder; set_scheduler_faults derives it
-  detail::BiasTable bias_;          ///< non-empty = biased arc distribution
-  std::uint64_t loss_threshold_ = 0;  ///< 0 = omission model off
-  bool sched_active_ = false;         ///< any scheduler fault model on
+  detail::ArcScheduler sched_;  ///< after topo_: built from its arc count
   RingClock clk_;
 };
 

@@ -52,8 +52,8 @@ inline constexpr std::uint64_t kFaults = 0xFA5EEDULL;
 
 /// Omission / message-loss stream: an engine seeded with `seed` draws its
 /// loss events from Xoshiro256pp(stream_seed(seed, kLoss)) so enabling loss
-/// never perturbs the arc-draw stream (core/runner.hpp kLossStreamTag,
-/// core/ensemble.hpp, the differential mirror).
+/// never perturbs the arc-draw stream (both engines' set_scheduler_faults
+/// and add_ring, the differential mirror).
 inline constexpr std::uint64_t kLoss = 0x1055ULL;
 
 /// derive_seed tag for the lockstep lane's decoy rings: differential lane G

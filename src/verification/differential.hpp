@@ -91,9 +91,9 @@ struct FuzzConfig {
   int faults_per_storm = 0;        ///< set_agent calls per storm
   /// Scheduler faults (core::SchedulerFaults), applied to every engine lane
   /// AND replicated in the checker mirror: omission probability per drawn
-  /// interaction (dedicated loss stream, seed ^ core::kLossStreamTag) and
-  /// an optional non-uniform arc distribution (one raw main-stream draw per
-  /// interaction). Active faults force every ensemble onto its generic
+  /// interaction (dedicated loss stream, stream_seed(seed, streams::kLoss))
+  /// and an optional non-uniform arc distribution (one raw main-stream draw
+  /// per interaction). Active faults force every ensemble onto its generic
   /// path, so the accelerated lanes (D packed, G) drop out of the matrix —
   /// what remains is still a full cross-check of the faulted scalar loops
   /// against the mirror's independent replay.

@@ -329,6 +329,43 @@ TEST(EnsembleRunner, RunUntilEachRejectsMisSizedHitsInEveryBuild) {
   EXPECT_EQ(hits, (std::vector<std::uint64_t>{7, 7, 100}));
 }
 
+/// A repeated ring id in the subset form must be refused before anything
+/// runs: the generic lane and the word lane's solo path would advance that
+/// ring twice per pass, a lockstep group once.
+template <typename P>
+void expect_repeated_ring_refused(EnsembleRunner<P>& ensemble) {
+  const auto never = [](std::span<const typename P::State>,
+                        const typename P::Params&) { return false; };
+  std::vector<std::uint64_t> hits(
+      static_cast<std::size_t>(ensemble.ring_count()), 7);
+  EXPECT_THROW(ensemble.run_until_each({0, 1, 0}, never, 100, 10,
+                                       std::span<std::uint64_t>(hits)),
+               std::invalid_argument);
+  EXPECT_THROW(ensemble.run_until_each({1, 1}, never, 100, 10,
+                                       std::span<std::uint64_t>(hits)),
+               std::invalid_argument);
+  for (int r = 0; r < ensemble.ring_count(); ++r)
+    EXPECT_EQ(ensemble.steps(r), 0u) << "ring " << r;
+  EXPECT_EQ(hits, std::vector<std::uint64_t>(hits.size(), 7));
+}
+
+TEST(EnsembleRunner, RunUntilEachRejectsRepeatedRingIdsInEveryBuild) {
+  const OracleTokenProto::Params p{8};
+  EnsembleRunner<OracleTokenProto> generic(p, 3);
+  const std::vector<OracleTokenProto::State> init(8);
+  for (int r = 0; r < 3; ++r) generic.add_ring(init, 30 + r);
+  expect_repeated_ring_refused(generic);
+
+  const auto pp = pl::PlParams::make(16, 4);
+  EnsembleRunner<pl::PlProtocol> word(pp, 3);
+  for (int r = 0; r < 3; ++r) {
+    Xoshiro256pp cfg(60 + static_cast<std::uint64_t>(r));
+    word.add_ring(pl::random_config(pp, cfg), 70 + r);
+  }
+  ASSERT_TRUE(word.word_kernel_mode());
+  expect_repeated_ring_refused(word);
+}
+
 TEST(EnsembleRunner, UnboundedBudgetAfterStepsDoesNotWrap) {
   // Same saturation as Runner::run_until: a UINT64_MAX budget on rings
   // that have already stepped must not wrap to a deadline in the past.

@@ -298,5 +298,25 @@ TEST(SchedulerFaults, BadModelsThrowInBothEngines) {
   EXPECT_NO_THROW(ens.set_scheduler_faults(loss(0.0)));
 }
 
+TEST(SchedulerFaults, RunObservedRefusesAFaultModelInEveryBuild) {
+  // run_observed reports every drawn arc and applies it; under a fault
+  // model a draw may be lost, so it refuses to run instead.
+  Runner<CountProto> run({8}, std::vector<CountProto::State>(8), 7);
+  SchedulerFaults lose_all;
+  lose_all.loss_p = 1.0;
+  run.set_scheduler_faults(lose_all);
+  int calls = 0;
+  const auto count = [&](const Runner<CountProto>&, int) { ++calls; };
+  EXPECT_THROW(run.run_observed(100, count), std::logic_error);
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(run.steps(), 0u);
+  run.step();  // the reference path loses the draw: the clock moves only
+  EXPECT_EQ(run.steps(), 1u);
+  for (const auto& s : run.agents()) EXPECT_EQ(s.v, 0);
+  run.set_scheduler_faults(SchedulerFaults{});
+  run.run_observed(10, count);
+  EXPECT_EQ(calls, 10);
+}
+
 }  // namespace
 }  // namespace ppsim::core

@@ -39,7 +39,6 @@ TEST(StreamTags, RegisteredValuesArePinned) {
   EXPECT_EQ(streams::kFailpoint, 0xFA17ULL);
   EXPECT_EQ(streams::kRetryJitter, 0xB0FFULL);
   EXPECT_EQ(streams::kCount, 8);
-  EXPECT_EQ(kLossStreamTag, streams::kLoss);
 }
 
 TEST(StreamTags, PairwiseDistinctAndHammingFloor) {
@@ -137,6 +136,41 @@ void expect_cross_engine_fault_identity(const typename P::Params& params,
              "not normalized across engines";
     }
     EXPECT_EQ(ensemble.steps(r), runner.steps());
+  }
+
+  // Mid-run demotion: `pre` accelerated steps leave every ring's States
+  // stale behind the mirror, then the faults arrive. The ensemble must sync
+  // its dirty rings as it leaves the accelerated lane and continue exactly
+  // like a Runner that gets the same faults at the same step.
+  constexpr std::uint64_t pre = 1000;
+  EnsembleRunner<P> demoted(params, kRings);
+  for (int r = 0; r < kRings; ++r)
+    demoted.add_ring(initial, seeds[static_cast<std::size_t>(r)]);
+  ASSERT_TRUE(demoted.packed_mode() || demoted.word_kernel_mode());
+  demoted.run(pre);
+  demoted.set_scheduler_faults(faults);
+  EXPECT_FALSE(demoted.packed_mode());
+  EXPECT_FALSE(demoted.word_kernel_mode());
+  for (int r = 0; r < kRings; ++r) {
+    Runner<P> runner(params,
+                     std::vector<typename P::State>(initial.begin(),
+                                                    initial.end()),
+                     seeds[static_cast<std::size_t>(r)]);
+    runner.run(pre);
+    runner.set_scheduler_faults(faults);
+    for (const std::uint64_t k : {std::uint64_t{0}, steps}) {
+      runner.run(k);
+      demoted.run_ring(r, k);
+      const auto ring = demoted.agents(r);
+      for (std::size_t i = 0; i < ring.size(); ++i) {
+        ASSERT_TRUE(ring[i] == runner.agents()[i])
+            << "ring " << r << " agent " << i << " after " << k
+            << " faulted steps: demotion lost or mis-synced the mirror";
+      }
+      EXPECT_EQ(demoted.steps(r), runner.steps());
+      EXPECT_EQ(demoted.leader_count(r), runner.leader_count());
+      EXPECT_EQ(demoted.last_leader_change(r), runner.last_leader_change());
+    }
   }
 }
 
