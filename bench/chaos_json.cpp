@@ -175,6 +175,9 @@ int main() {
       {"ckpt_durability_eintr",
        "service.ckpt.fsync=2xeintr;service.ckpt.rename=1xeintr;"
        "service.ckpt.dir_fsync=1xeintr"},
+      {"sink_flush_transient", "service.file_sink.flush=eintr+enospc+eio"},
+      {"sink_truncate_transient", "service.file_sink.truncate=eintr+eio"},
+      {"ckpt_open_transient", "service.ckpt.open=eintr+enospc+eio"},
       {"worker_transient", "service.worker.shard=2xeintr"},
       {"worker_quarantine", "service.worker.shard=3xeintr", true},
   };
