@@ -32,11 +32,11 @@
 //    draw per step, unconditional before/after predicate census (the engine
 //    as originally written).
 //  * `run(k)` — the block loop `InteractionEngine<P>::run_block`: the
-//    Lemire rejection threshold hoisted out of the loop (block sampling
-//    into a caller buffer, `Xoshiro256pp::fill_bounded`, measured slower
-//    than fusing the draw into the transition loop — see README.md), plus a
-//    *delta census* that skips the census math on no-op interactions. The
-//    same function is EnsembleRunner's generic lane (core/ensemble.hpp).
+//    Lemire rejection threshold hoisted out of the loop and the draw fused
+//    into the transition loop (`bounded_with_threshold`; block sampling
+//    into a caller buffer measured slower — see README.md), plus a *delta
+//    census* that skips the census math on no-op interactions. The same
+//    function is EnsembleRunner's generic lane (core/ensemble.hpp).
 //
 // Both paths maintain identical census values at every step, so any mix of
 // step()/run()/run_unbatched() produces the same trajectory

@@ -52,7 +52,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -64,7 +63,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -91,10 +89,8 @@ inline constexpr int kFrameSchemaVersion = 1;
 
 /// Byte sink for the NDJSON frame stream. write() is always called from
 /// under the emitter lock, in frame order — implementations need no
-/// internal synchronization. truncate_to() is the resume hook; sinks that
-/// cannot rewind (sockets, pipes) may adopt the offset without truncating,
-/// degrading the exactly-once frame contract to at-least-once after a
-/// crash (consumers dedup on (cell, shard) — the frame ids are stable).
+/// internal synchronization. truncate_to() is the resume hook: it trims the
+/// stream back to the checkpoint's frame offset.
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
@@ -129,11 +125,11 @@ class MemoryFrameSink final : public FrameSink {
 /// already-emitted prefix; truncate_to() then trims any frames written
 /// after the last checkpoint (including a torn final line from kill -9).
 ///
-/// Self-healing: every fwrite/fflush/ftruncate retries EINTR in place
-/// (bounded by kEintrStormLimit), resumes short writes at the moved
-/// cursor, and backs off on transient_errno failures under `retry` before
-/// throwing CheckpointError. Failpoint sites: service.file_sink.{write,
-/// flush,truncate}.
+/// Self-healing: every fwrite/fflush/ftruncate runs through
+/// detail::retry_io with a `retry` ladder (EINTR in place, short writes
+/// resumed at the moved cursor, transient errnos backed off) and throws
+/// CheckpointError when it gives up. Failpoint sites:
+/// service.file_sink.{write,flush,truncate}.
 class FileFrameSink final : public FrameSink {
  public:
   explicit FileFrameSink(const std::string& path, RetryPolicy retry = {})
@@ -153,65 +149,23 @@ class FileFrameSink final : public FrameSink {
 
   void write(const char* data, std::size_t len) override {
     RetryState retry(retry_);
-    int spins = 0;
-    while (len > 0) {
-      std::size_t want = len;
-      const core::FailOutcome fo =
-          core::failpoint(core::failpoints::kFileSinkWrite);
-      if (fo.action == core::FailAction::kThrow)
-        throw CheckpointError("failpoint: frame file write aborted");
-      errno = 0;
-      std::size_t put = 0;
-      if (fo.action == core::FailAction::kErrno) {
-        errno = fo.err;
-      } else {
-        if (fo.action == core::FailAction::kShortWrite)
-          want = std::max<std::size_t>(
-              1,
-              std::min<std::size_t>(want, static_cast<std::size_t>(fo.arg)));
-        put = std::fwrite(data, 1, want, f_);
-      }
-      if (put > 0) {
-        data += put;
-        len -= put;
-        off_ += put;
-        spins = 0;
-        retry.reset();
-        continue;
-      }
-      std::clearerr(f_);
-      if (errno == EINTR && ++spins < kEintrStormLimit) continue;
-      if (transient_errno(errno) && retry.backoff()) continue;
+    const std::size_t put = detail::fwrite_all(
+        core::failpoints::kFileSinkWrite, &retry, f_, data, len);
+    off_ += put;
+    if (put < len)
       throw CheckpointError(std::string("frame file write failed: ") +
                             std::strerror(errno));
-    }
   }
   void flush() override {
     RetryState retry(retry_);
-    int spins = 0;
-    for (;;) {
-      const core::FailOutcome fo =
-          core::failpoint(core::failpoints::kFileSinkFlush);
-      if (fo.action == core::FailAction::kThrow)
-        throw CheckpointError("failpoint: frame file flush aborted");
-      errno = 0;
-      int r = 0;
-      if (fo.action == core::FailAction::kErrno) {
-        errno = fo.err;
-        r = EOF;
-      } else {
-        r = std::fflush(f_);
-      }
-      if (r == 0) return;
-      std::clearerr(f_);
-      if (errno == EINTR && ++spins < kEintrStormLimit) continue;
-      if (transient_errno(errno) && retry.backoff()) {
-        spins = 0;
-        continue;
-      }
+    if (const int e = detail::retry_io(
+            core::failpoints::kFileSinkFlush, &retry, [&](std::size_t) {
+              if (std::fflush(f_) == 0) return true;
+              std::clearerr(f_);
+              return false;
+            }))
       throw CheckpointError(std::string("frame file flush failed: ") +
-                            std::strerror(errno));
-    }
+                            std::strerror(e));
   }
   void truncate_to(std::uint64_t offset) override {
     flush();
@@ -220,29 +174,12 @@ class FileFrameSink final : public FrameSink {
           "frame file shorter than the checkpoint's frame offset — the "
           "frame file does not belong to this checkpoint");
     RetryState retry(retry_);
-    int spins = 0;
-    for (;;) {
-      const core::FailOutcome fo =
-          core::failpoint(core::failpoints::kFileSinkTruncate);
-      if (fo.action == core::FailAction::kThrow)
-        throw CheckpointError("failpoint: frame file truncate aborted");
-      errno = 0;
-      int r = 0;
-      if (fo.action == core::FailAction::kErrno) {
-        errno = fo.err;
-        r = -1;
-      } else {
-        r = ::ftruncate(fileno(f_), static_cast<off_t>(offset));
-      }
-      if (r == 0) break;
-      if (errno == EINTR && ++spins < kEintrStormLimit) continue;
-      if (transient_errno(errno) && retry.backoff()) {
-        spins = 0;
-        continue;
-      }
+    if (const int e = detail::retry_io(
+            core::failpoints::kFileSinkTruncate, &retry, [&](std::size_t) {
+              return ::ftruncate(fileno(f_), static_cast<off_t>(offset)) == 0;
+            }))
       throw CheckpointError(std::string("ftruncate on frame file failed: ") +
-                            std::strerror(errno));
-    }
+                            std::strerror(e));
     std::fseek(f_, static_cast<long>(offset), SEEK_SET);
     off_ = offset;
   }
@@ -252,71 +189,6 @@ class FileFrameSink final : public FrameSink {
   std::FILE* f_ = nullptr;
   std::uint64_t off_ = 0;
   RetryPolicy retry_;
-};
-
-/// Raw-descriptor sink (Unix socket, pipe, stdout). Cannot rewind:
-/// truncate_to() only adopts the offset, so crash-resume delivery over a
-/// socket is at-least-once (see FrameSink). Writes loop over partial
-/// ::write()s, so a full socket buffer blocks here — and through the
-/// emitter window, blocks the whole campaign: backpressure end to end.
-///
-/// EINTR and EAGAIN/EWOULDBLOCK are retried in place rather than aborting
-/// the campaign. Caveat: the sink expects a BLOCKING descriptor — on a
-/// non-blocking fd EAGAIN means "buffer full", which this sink handles by
-/// a bounded 1 ms sleep-and-retry loop (kEintrStormLimit iterations ≈ 1 s),
-/// not by polling; wire a poll()-based sink if you need real non-blocking
-/// backpressure. Failpoint site: service.fd_sink.write.
-class FdFrameSink final : public FrameSink {
- public:
-  explicit FdFrameSink(int fd) : fd_(fd) {}
-
-  void write(const char* data, std::size_t len) override {
-    int spins = 0;
-    while (len > 0) {
-      std::size_t want = len;
-      const core::FailOutcome fo =
-          core::failpoint(core::failpoints::kFdSinkWrite);
-      if (fo.action == core::FailAction::kThrow)
-        throw CheckpointError("failpoint: frame descriptor write aborted");
-      ssize_t put = 0;
-      if (fo.action == core::FailAction::kErrno) {
-        errno = fo.err;
-        put = -1;
-      } else {
-        if (fo.action == core::FailAction::kShortWrite)
-          want = std::max<std::size_t>(
-              1,
-              std::min<std::size_t>(want, static_cast<std::size_t>(fo.arg)));
-        put = ::write(fd_, data, want);
-      }
-      if (put > 0) {
-        data += put;
-        len -= static_cast<std::size_t>(put);
-        off_ += static_cast<std::uint64_t>(put);
-        spins = 0;
-        continue;
-      }
-      const int e = put < 0 ? errno : 0;
-      if (put == 0 || e == EINTR || e == EAGAIN || e == EWOULDBLOCK) {
-        if (++spins >= kEintrStormLimit)
-          throw CheckpointError(
-              "frame descriptor write: EINTR/EAGAIN storm — descriptor "
-              "never made progress");
-        if (e != EINTR)
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      throw CheckpointError(
-          std::string("write to frame descriptor failed: ") +
-          std::strerror(e));
-    }
-  }
-  void truncate_to(std::uint64_t offset) override { off_ = offset; }
-  [[nodiscard]] std::uint64_t offset() const override { return off_; }
-
- private:
-  int fd_ = -1;
-  std::uint64_t off_ = 0;
 };
 
 // --- In-order frame emission with bounded in-flight window ----------------

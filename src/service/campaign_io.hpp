@@ -1,5 +1,6 @@
 // Campaign-service persistence: the checkpoint codec, the shard bitmap and
-// the frame sinks (src/service/campaign.hpp is the driver on top).
+// detail::retry_io, the one retry loop every service syscall runs through
+// (src/service/campaign.hpp is the driver and the frame sinks on top).
 //
 // Design constraints, in order:
 //
@@ -26,10 +27,12 @@
 //    checkpoint written by any build of this code reads back identically.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,6 +52,70 @@ namespace ppsim::service {
 struct CheckpointError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+namespace detail {
+
+/// The one retry loop behind every guarded syscall of the service; the
+/// rules are service/retry.hpp's. Each attempt evaluates `site`'s failpoint
+/// once: kThrow throws CheckpointError, kErrno fails the attempt with the
+/// injected errno, anything else runs `op(cap)` — the real call, moving at
+/// most `cap` bytes (SIZE_MAX unless a kShortWrite outcome caps it), which
+/// returns false with errno set when it fails. EINTR retries in place, up
+/// to kEintrStormLimit in a row. A transient errno backs off under `retry`;
+/// with no ladder (nullptr) it is returned instead, for callers that retry
+/// the whole operation. Returns 0 once an attempt succeeds (which resets
+/// `retry`), else the errno it gave up on.
+template <typename Op>
+[[nodiscard]] int retry_io(const char* site, RetryState* retry, Op&& op) {
+  for (int spins = 0;;) {
+    const core::FailOutcome fo = core::failpoint(site);
+    if (fo.action == core::FailAction::kThrow)
+      throw CheckpointError(std::string("failpoint: ") + site + " aborted");
+    errno = 0;
+    if (fo.action == core::FailAction::kErrno) {
+      errno = fo.err;
+    } else if (op(fo.action == core::FailAction::kShortWrite
+                      ? static_cast<std::size_t>(
+                            std::max<std::uint64_t>(fo.arg, 1))
+                      : SIZE_MAX)) {
+      if (retry != nullptr) retry->reset();
+      return 0;
+    }
+    const int e = errno;
+    if (e == EINTR && ++spins < kEintrStormLimit) continue;
+    if (retry != nullptr && transient_errno(e) && retry->backoff()) {
+      spins = 0;
+      continue;
+    }
+    return e != 0 ? e : EIO;
+  }
+}
+
+/// fwrite of `len` bytes through retry_io, resuming short writes at the
+/// moved cursor. Returns the bytes written: `len`, or fewer with errno set
+/// when the rules give up (fwrite's own convention).
+[[nodiscard]] inline std::size_t fwrite_all(const char* site,
+                                            RetryState* retry, std::FILE* f,
+                                            const void* data,
+                                            std::size_t len) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::size_t done = 0;
+  while (done < len) {
+    std::size_t put = 0;
+    if (const int e = retry_io(site, retry, [&](std::size_t cap) {
+          put = std::fwrite(p + done, 1, std::min(len - done, cap), f);
+          if (put == 0) std::clearerr(f);
+          return put > 0;
+        })) {
+      errno = e;
+      break;
+    }
+    done += put;
+  }
+  return done;
+}
+
+}  // namespace detail
 
 // --- FNV-1a (64-bit): spec digests and the checkpoint checksum ------------
 
@@ -184,10 +251,10 @@ struct Checkpoint {
 
 enum class LoadStatus {
   kLoaded,        ///< checkpoint read and verified
-  kAbsent,        ///< no file at the path (a fresh campaign, not an error)
+  kAbsent,        ///< no file at the path, ENOENT (a fresh campaign)
   kCorrupt,       ///< bad magic/version/checksum/structure — refuse
   kSpecMismatch,  ///< valid file for a DIFFERENT campaign spec — refuse
-  kIoError,       ///< fread failed mid-file (std::ferror) — an I/O failure,
+  kIoError,       ///< open (not ENOENT) or fread failed — an I/O failure,
                   ///< NOT a corruption verdict; the caller may retry
 };
 
@@ -414,30 +481,6 @@ namespace detail {
   return slash == 0 ? "/" : path.substr(0, slash);
 }
 
-/// fsync with an EINTR spin bounded by kEintrStormLimit (hang prevention
-/// under an adversarial `*xeintr` schedule; see service/retry.hpp).
-[[nodiscard]] inline bool fsync_eintr(int fd) {
-  for (int spins = 0; spins < kEintrStormLimit; ++spins) {
-    if (::fsync(fd) == 0) return true;
-    if (errno != EINTR) return false;
-  }
-  return false;
-}
-
-/// Evaluate a checkpoint-site failpoint, consuming injected EINTRs in
-/// place (bounded) — EINTR is always retry-for-free, even when injected at
-/// a site whose real syscall loops internally. Returns the first
-/// non-EINTR outcome.
-[[nodiscard]] inline core::FailOutcome ckpt_failpoint(const char* site) {
-  for (int spins = 0;; ++spins) {
-    const core::FailOutcome fo = core::failpoint(site);
-    if (fo.action == core::FailAction::kErrno && fo.err == EINTR &&
-        spins < kEintrStormLimit)
-      continue;
-    return fo;
-  }
-}
-
 }  // namespace detail
 
 /// Durable atomic save: write `<path>.tmp`, fflush + fsync the file, rename
@@ -446,187 +489,116 @@ namespace detail {
 /// orders the replacement but does not persist the directory entry).
 /// Returns false (with the OS error on stderr) when any step fails; EINTR
 /// is retried in place and never surfaces as a failure. Safe to retry
-/// wholesale — every step is idempotent. A kThrow failpoint outcome at any
-/// site throws CheckpointError (the non-transient injection class).
+/// wholesale — every step is idempotent, and the caller owns the backoff.
+/// A kThrow failpoint outcome at any site throws CheckpointError (the
+/// non-transient injection class). Every exit but a commit closes and
+/// removes the temp file.
 [[nodiscard]] inline bool save_checkpoint(const std::string& path,
                                           const Checkpoint& ckpt) {
   const std::vector<unsigned char> bytes = encode_checkpoint(ckpt);
   const std::string tmp = path + ".tmp";
-
   std::FILE* f = nullptr;
-  if (const core::FailOutcome fo = core::failpoint(core::failpoints::kCkptOpen);
-      fo.fired() && fo.action != core::FailAction::kDelay) {
-    if (fo.action == core::FailAction::kThrow)
-      throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-    errno = fo.err != 0 ? fo.err : EIO;
-  } else {
-    f = std::fopen(tmp.c_str(), "wb");
-  }
-  if (f == nullptr) {
-    std::perror(("campaign checkpoint: fopen " + tmp).c_str());
-    return false;
-  }
-
-  // Write loop: EINTR retried in place, injected short writes resume at
-  // the moved cursor, any other failure abandons the tmp file (the caller
-  // owns backoff/retry of the whole save).
-  bool ok = true;
-  std::size_t put = 0;
-  int spins = 0;
-  while (put < bytes.size()) {
-    std::size_t want = bytes.size() - put;
-    const core::FailOutcome fo =
-        core::failpoint(core::failpoints::kCkptWrite);
-    if (fo.action == core::FailAction::kThrow) {
-      std::fclose(f);
-      std::remove(tmp.c_str());
-      throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-    }
-    errno = 0;
-    std::size_t got = 0;
-    if (fo.action == core::FailAction::kErrno) {
-      errno = fo.err;
-    } else {
-      if (fo.action == core::FailAction::kShortWrite)
-        want = std::max<std::size_t>(
-            1, std::min<std::size_t>(want, static_cast<std::size_t>(fo.arg)));
-      got = std::fwrite(bytes.data() + put, 1, want, f);
-    }
-    if (got > 0) {
-      put += got;
-      spins = 0;
-      continue;
-    }
-    std::clearerr(f);
-    if (errno == EINTR && ++spins < kEintrStormLimit) continue;
-    ok = false;
-    break;
-  }
-
-  // Durability barrier: libc buffer -> page cache (fflush), page cache ->
-  // storage (fsync), BEFORE the rename makes the file the checkpoint.
-  if (ok && std::fflush(f) != 0) ok = false;
-  if (ok) {
-    const core::FailOutcome fo =
-        detail::ckpt_failpoint(core::failpoints::kCkptFsync);
-    if (fo.action == core::FailAction::kThrow) {
-      std::fclose(f);
-      std::remove(tmp.c_str());
-      throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-    }
-    if (fo.action == core::FailAction::kErrno) {
-      errno = fo.err;
-      ok = false;
-    } else {
-      ok = detail::fsync_eintr(fileno(f));
-    }
-  }
-  std::fclose(f);
-  if (!ok) {
-    std::perror(("campaign checkpoint: write " + tmp).c_str());
+  const auto drop_tmp = [&] {
+    if (f != nullptr) std::fclose(f);
+    f = nullptr;
     std::remove(tmp.c_str());
+  };
+  const auto fail = [&](int e, const std::string& what) {
+    drop_tmp();
+    errno = e;
+    std::perror(("campaign checkpoint: " + what).c_str());
     return false;
-  }
-
-  {
-    const core::FailOutcome fo =
-        detail::ckpt_failpoint(core::failpoints::kCkptRename);
-    if (fo.action == core::FailAction::kThrow) {
-      std::remove(tmp.c_str());
-      throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-    }
-    if (fo.action == core::FailAction::kErrno) {
-      errno = fo.err;
-      ok = false;
-    } else {
-      int spins2 = 0;
-      while ((ok = std::rename(tmp.c_str(), path.c_str()) == 0) == false &&
-             errno == EINTR && ++spins2 < kEintrStormLimit) {
-      }
-    }
-    if (!ok) {
-      std::perror(("campaign checkpoint: commit " + path).c_str());
-      std::remove(tmp.c_str());
-      return false;
-    }
+  };
+  try {
+    if (const int e = detail::retry_io(
+            core::failpoints::kCkptOpen, nullptr, [&](std::size_t) {
+              f = std::fopen(tmp.c_str(), "wb");
+              return f != nullptr;
+            }))
+      return fail(e, "fopen " + tmp);
+    if (detail::fwrite_all(core::failpoints::kCkptWrite, nullptr, f,
+                           bytes.data(), bytes.size()) != bytes.size())
+      return fail(errno, "write " + tmp);
+    // Durability barrier: libc buffer -> page cache (fflush), page cache
+    // -> storage (fsync), BEFORE the rename makes the file the checkpoint.
+    if (const int e = detail::retry_io(
+            core::failpoints::kCkptFsync, nullptr, [&](std::size_t) {
+              return std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
+            }))
+      return fail(e, "write " + tmp);
+    std::fclose(f);
+    f = nullptr;
+    if (const int e = detail::retry_io(
+            core::failpoints::kCkptRename, nullptr, [&](std::size_t) {
+              return std::rename(tmp.c_str(), path.c_str()) == 0;
+            }))
+      return fail(e, "commit " + path);
+  } catch (...) {
+    drop_tmp();
+    throw;
   }
 
   // The rename is only durable once the parent directory's entry is on
   // storage. A failure here fails the save; the retry re-runs the whole
   // (idempotent) sequence.
-  {
-    const core::FailOutcome fo =
-        detail::ckpt_failpoint(core::failpoints::kCkptDirFsync);
-    if (fo.action == core::FailAction::kThrow)
-      throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-    if (fo.action == core::FailAction::kErrno) {
-      errno = fo.err;
-      ok = false;
-    } else {
-      const std::string dir = detail::parent_dir(path);
-      const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-      ok = dfd >= 0 && detail::fsync_eintr(dfd);
-      if (dfd >= 0) ::close(dfd);
-    }
-    if (!ok) {
-      std::perror(("campaign checkpoint: fsync dir of " + path).c_str());
-      return false;
-    }
+  const std::string dir = detail::parent_dir(path);
+  if (const int e = detail::retry_io(
+          core::failpoints::kCkptDirFsync, nullptr, [&](std::size_t) {
+            const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+            if (dfd < 0) return false;
+            const bool ok = ::fsync(dfd) == 0;
+            const int saved = errno;
+            ::close(dfd);
+            errno = saved;
+            return ok;
+          })) {
+    errno = e;
+    std::perror(("campaign checkpoint: fsync dir of " + path).c_str());
+    return false;
   }
   return true;
 }
 
-/// Load a checkpoint file. A missing file is kAbsent (fresh campaign); a
-/// mid-file read error (std::ferror — NOT a short file, which the codec
-/// judges) is kIoError so the caller can retry instead of refusing a file
-/// that is merely behind a flaky disk; every other failure mode is a
-/// refusal with a reason. EINTR is retried in place.
+/// Load a checkpoint file. A missing file (ENOENT) is kAbsent — a fresh
+/// campaign; any other open failure, and a mid-file read error (std::ferror
+/// — NOT a short file, which the codec judges), is kIoError, so the caller
+/// retries and then refuses instead of restarting over a file it merely
+/// cannot reach. Every other failure mode is a refusal with a reason. EINTR
+/// is retried in place.
 [[nodiscard]] inline LoadResult load_checkpoint(
     const std::string& path, std::uint64_t expected_digest) {
   LoadResult out;
+  const auto io_error = [&](const char* what, int e) {
+    out.status = LoadStatus::kIoError;
+    out.error = std::string(what) + " checkpoint file (errno " +
+                std::to_string(e) + ": " + std::strerror(e) +
+                ") — an I/O failure, not a corruption verdict";
+    return out;
+  };
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
-    out.status = LoadStatus::kAbsent;
-    return out;
+    if (errno == ENOENT) return out;  // kAbsent
+    return io_error("cannot open", errno);
   }
   std::vector<unsigned char> bytes;
   unsigned char buf[4096];
-  int spins = 0;
-  for (;;) {
-    const core::FailOutcome fo = core::failpoint(core::failpoints::kCkptRead);
-    if (fo.action == core::FailAction::kThrow) {
-      std::fclose(f);
-      throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-    }
-    errno = 0;
-    std::size_t want = sizeof buf;
-    std::size_t got = 0;
-    bool injected = false;
-    if (fo.action == core::FailAction::kErrno) {
-      errno = fo.err;
-      injected = true;
-    } else {
-      if (fo.action == core::FailAction::kShortWrite)
-        want = std::max<std::size_t>(
-            1, std::min<std::size_t>(want, static_cast<std::size_t>(fo.arg)));
-      got = std::fread(buf, 1, want, f);
-    }
-    if (got > 0) {
+  try {
+    for (std::size_t got = 1; got > 0;) {
+      if (const int e = detail::retry_io(
+              core::failpoints::kCkptRead, nullptr, [&](std::size_t cap) {
+                got = std::fread(buf, 1, std::min(sizeof buf, cap), f);
+                if (got > 0 || std::ferror(f) == 0) return true;  // or EOF
+                std::clearerr(f);
+                return false;
+              })) {
+        std::fclose(f);
+        return io_error("read error on", e);
+      }
       bytes.insert(bytes.end(), buf, buf + got);
-      spins = 0;
-      continue;
     }
-    if (injected || std::ferror(f) != 0) {
-      std::clearerr(f);
-      if (errno == EINTR && ++spins < kEintrStormLimit) continue;
-      out.status = LoadStatus::kIoError;
-      out.error = "read error on checkpoint file (errno " +
-                  std::to_string(errno) +
-                  ") — an I/O failure, not a corruption verdict";
-      std::fclose(f);
-      return out;
-    }
-    break;  // clean EOF
+  } catch (...) {
+    std::fclose(f);
+    throw;
   }
   std::fclose(f);
   return decode_checkpoint(bytes.data(), bytes.size(), expected_digest);

@@ -2,7 +2,8 @@
 // (src/service/campaign.hpp, src/service/campaign_io.hpp).
 //
 // Failure taxonomy, applied uniformly across sinks, checkpoints and shard
-// workers:
+// workers (every syscall site runs it through service::detail::retry_io in
+// campaign_io.hpp; shard workers through run_shard_with_retry):
 //
 //   * EINTR            — not a failure at all: retried immediately, without
 //                        consuming a backoff attempt, bounded only by
@@ -55,8 +56,8 @@ struct TransientError : std::runtime_error {
 /// injection; unreachable for real signal-interrupted syscalls).
 inline constexpr int kEintrStormLimit = 1024;
 
-/// errno values the backoff loops treat as retryable. EINTR is deliberately
-/// NOT here — it is retried for free, outside the attempt budget.
+/// errno values retry_io backs off on. EINTR is deliberately NOT here — it
+/// is retried for free, outside the attempt budget.
 [[nodiscard]] inline bool transient_errno(int e) noexcept {
   return e == EAGAIN || e == EWOULDBLOCK || e == ENOSPC || e == EIO;
 }

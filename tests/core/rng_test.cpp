@@ -72,23 +72,6 @@ TEST(Xoshiro, CoinIsFair) {
   EXPECT_NEAR(heads / 100000.0, 0.5, 0.01);
 }
 
-TEST(Xoshiro, FillBoundedMatchesBoundedStream) {
-  // The batched scheduler depends on this: block sampling must consume the
-  // same generator stream and produce the same values as repeated bounded().
-  for (std::uint64_t bound : {1ULL, 2ULL, 5ULL, 64ULL, 1000003ULL,
-                              (1ULL << 32)}) {
-    Xoshiro256pp block_rng(77), step_rng(77);
-    std::vector<std::uint32_t> block(4096);
-    block_rng.fill_bounded(block.data(), block.size(), bound);
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      ASSERT_EQ(block[i], static_cast<std::uint32_t>(step_rng.bounded(bound)))
-          << "bound=" << bound << " i=" << i;
-    }
-    // Streams stay aligned after the block (same number of raw draws).
-    ASSERT_EQ(block_rng(), step_rng());
-  }
-}
-
 TEST(Xoshiro, BoundedWithThresholdMatchesBounded) {
   for (std::uint64_t bound : {3ULL, 7ULL, 1024ULL, 999999937ULL}) {
     Xoshiro256pp a(123), b(123);
@@ -99,19 +82,19 @@ TEST(Xoshiro, BoundedWithThresholdMatchesBounded) {
   }
 }
 
-TEST(Xoshiro, FillBoundedIsApproximatelyUniform) {
-  // Chi-square uniformity of the block bounded-arc sampler, including a
-  // non-power-of-two bucket count (the rejection path must not bias it).
+TEST(Xoshiro, BoundedWithThresholdIsApproximatelyUniform) {
+  // Chi-square uniformity of the hoisted-threshold arc draw the block loop
+  // uses, including a non-power-of-two bucket count (the rejection path
+  // must not bias it).
   for (int buckets : {16, 13}) {
     Xoshiro256pp rng(20230515 + buckets);
     constexpr int kDrawsPerBucket = 10000;
-    const std::size_t draws =
-        static_cast<std::size_t>(buckets) * kDrawsPerBucket;
-    std::vector<std::uint32_t> block(draws);
-    rng.fill_bounded(block.data(), draws, static_cast<std::uint64_t>(buckets));
+    const auto bound = static_cast<std::uint64_t>(buckets);
+    const std::uint64_t threshold = Xoshiro256pp::rejection_threshold(bound);
     std::vector<std::uint64_t> counts(static_cast<std::size_t>(buckets), 0);
-    for (const std::uint32_t v : block) {
-      ASSERT_LT(v, static_cast<std::uint32_t>(buckets));
+    for (int i = 0; i < buckets * kDrawsPerBucket; ++i) {
+      const std::uint64_t v = rng.bounded_with_threshold(bound, threshold);
+      ASSERT_LT(v, bound);
       ++counts[v];
     }
     // 12-15 dof: 99.999-percentile < 48; use a generous bound.

@@ -122,42 +122,6 @@ class SelfHealingTest : public ::testing::Test {
   std::string dir_;
 };
 
-// --- FdFrameSink: EINTR/EAGAIN/short-write healing (satellite 1) ----------
-
-TEST_F(SelfHealingTest, FdSinkHealsEintrEagainAndShortWrites) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  const std::string payload =
-      "the quick brown fox jumps over the lazy dog\n";
-  {
-    FdFrameSink sink(fds[1]);
-    // Three fault classes interleaved before clean writes: each must be
-    // retried in place without dropping or duplicating a byte.
-    reg().arm(fp::kFdSinkWrite,
-              "eintr+eagain+short:5+eintr+short:1");
-    sink.write(payload.data(), payload.size());
-    EXPECT_EQ(sink.offset(), payload.size());
-  }
-  ::close(fds[1]);
-  std::string got(payload.size(), '\0');
-  ASSERT_EQ(::read(fds[0], got.data(), got.size()),
-            static_cast<ssize_t>(payload.size()));
-  EXPECT_EQ(got, payload) << "retries must not drop or duplicate bytes";
-  char extra = 0;
-  EXPECT_EQ(::read(fds[0], &extra, 1), 0) << "no extra bytes after EOF";
-  ::close(fds[0]);
-}
-
-TEST_F(SelfHealingTest, FdSinkAbortsOnNonTransientErrno) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  FdFrameSink sink(fds[1]);
-  reg().arm(fp::kFdSinkWrite, "errno:9");  // EBADF: permanent
-  EXPECT_THROW(sink.write("x", 1), CheckpointError);
-  ::close(fds[0]);
-  ::close(fds[1]);
-}
-
 // --- FileFrameSink: transient healing and the storm bound ------------------
 
 TEST_F(SelfHealingTest, FileSinkHealsTransientsByteExactly) {
@@ -216,6 +180,7 @@ Checkpoint small_checkpoint() {
 TEST_F(SelfHealingTest, SaveHealsEintrAndShortWritesInPlace) {
   const std::string p = path("ckpt.bin");
   const Checkpoint ckpt = small_checkpoint();
+  reg().arm(fp::kCkptOpen, "eintr");
   reg().arm(fp::kCkptWrite, "2xeintr+short:9+eintr");
   reg().arm(fp::kCkptFsync, "2xeintr");
   reg().arm(fp::kCkptRename, "eintr");
@@ -257,6 +222,8 @@ TEST_F(SelfHealingTest, KThrowAtCheckpointSitesIsAbortClass) {
     reg().disarm_all();
     reg().arm(site, "throw");
     EXPECT_THROW((void)save_checkpoint(p, ckpt), CheckpointError) << site;
+    EXPECT_EQ(::access((p + ".tmp").c_str(), F_OK), -1)
+        << site << ": an aborted save must remove its temp file";
   }
 }
 
@@ -274,6 +241,41 @@ TEST_F(SelfHealingTest, MidFileReadErrorIsIoErrorNotCorrupt) {
   // And once the disk behaves, the same file loads.
   const LoadResult ok = load_checkpoint(p, ckpt.spec_digest);
   EXPECT_EQ(ok.status, LoadStatus::kLoaded) << ok.error;
+}
+
+TEST_F(SelfHealingTest, UnreachableCheckpointIsIoErrorNotAbsent) {
+  // A checkpoint path under a regular file cannot be opened (ENOTDIR). Only
+  // ENOENT means "no checkpoint"; any other open failure is an I/O error,
+  // or a resume would restart from zero over a file it merely cannot reach.
+  const std::string file = path("not_a_dir");
+  ASSERT_TRUE(save_checkpoint(file, small_checkpoint()));
+  const LoadResult lr = load_checkpoint(file + "/ckpt.bin", 1);
+  EXPECT_EQ(lr.status, LoadStatus::kIoError);
+  EXPECT_NE(lr.error.find(std::to_string(ENOTDIR)), std::string::npos)
+      << lr.error;
+  EXPECT_EQ(load_checkpoint(path("missing.bin"), 1).status,
+            LoadStatus::kAbsent);
+}
+
+TEST_F(SelfHealingTest, UnreachableCheckpointRefusesAndKeepsTheFrames) {
+  const std::string file = path("not_a_dir");
+  ASSERT_TRUE(save_checkpoint(file, small_checkpoint()));
+  const std::string frames_path = path("frames.ndjson");
+  const std::string frames = "{\"frame\":\"already emitted\"}\n";
+  {
+    FileFrameSink sink(frames_path);
+    sink.write(frames.data(), frames.size());
+  }
+  CampaignOptions opts;
+  opts.checkpoint_path = file + "/ckpt.bin";
+  opts.retry = fast_retry();
+  CampaignService<pl::PlProtocol> svc(make_cells(150, 76), opts);
+  {
+    FileFrameSink sink(frames_path, fast_retry());
+    EXPECT_THROW((void)svc.run(sink), CheckpointError);
+  }
+  EXPECT_EQ(read_file(frames_path), frames)
+      << "a refused resume must not touch the frames already emitted";
 }
 
 TEST_F(SelfHealingTest, LoadHealsEintrInPlace) {
